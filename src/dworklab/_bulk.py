@@ -12,6 +12,7 @@ N^(N-2)-row transversal {v : v_j = 0}; otherwise the kernels fall back to
 the full table and deduplicate.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -82,10 +83,6 @@ def _encode(rows: np.ndarray, modulus: int) -> np.ndarray:
     return code
 
 
-def encode_rows(rows: np.ndarray, modulus: int) -> np.ndarray:
-    return _encode(rows, modulus)
-
-
 def decode(code: int, modulus: int) -> tuple[int, ...]:
     n = modulus
     return tuple(int(code // n ** (n - 1 - i)) % n for i in range(n))
@@ -149,9 +146,8 @@ def canonical_class_codes(
     return np.sort(canon)
 
 
-@lru_cache(maxsize=8)
 def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS):
-    """Per-class arrays used by the repeated-weight scan.
+    """Per-class arrays used by the repeated-weight scan (which caches them).
 
     Returns (codes, tnz, ht, member) where codes is the sorted array of
     canonical representative codes and the other three have shape
@@ -176,27 +172,94 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MA
     return codes, tnz, ht, member
 
 
-def repeated_weight_codes(
-    modulus: int, weight: tuple[int, ...], indexed: bool, max_rows: int = MAX_TABLE_ROWS
-) -> np.ndarray:
-    """Codes of the classes whose weight multiset contains a repeat.
+def _first_members(member: np.ndarray) -> np.ndarray:
+    """Whether member k of a class differs from all its members k' < k."""
+    first = np.ones(member.shape, dtype=bool)
+    for k in range(1, member.shape[0]):
+        first[k] = (member[:k] != member[k]).all(axis=0)
+    return first
 
-    Under indexed semantics the N coset members are counted with
-    multiplicity, so coinciding members with equal weights count as a
-    repeat; under set semantics the two members must differ.
+
+def _sort_columns(table: np.ndarray) -> None:
+    """Sort every column in place by odd-even transposition.
+
+    Round r compare-exchanges rows (i, i+1) for i = r mod 2, r mod 2 + 2, ...;
+    as many rounds as rows sort any column.  Each round is two vectorized
+    passes, much faster than np.sort over many short columns.
+    """
+    for r in range(table.shape[0]):
+        upper, lower = table[r % 2 : -1 : 2], table[r % 2 + 1 :: 2]
+        low = np.minimum(upper, lower)
+        np.maximum(upper, lower, out=lower)
+        upper[...] = low
+
+
+@dataclass(frozen=True, eq=False)
+class RepeatScan:
+    """One exhaustive repeated-weight scan over the classes of (N, W).
+
+    ``codes`` are the sorted canonical codes of the classes whose weight
+    multiset has a repeat; membership queries need nothing else, so the
+    report fields are left to ``report_fields``.  The other arrays have one
+    column per class, in code order: ``flag`` marks the flagged classes,
+    column j of ``weights`` holds class j's counted weights ascending and
+    then N for its other members, and ``tnz``/``member`` are those of
+    ``class_weight_stats``.  All arrays are read-only.
+    """
+
+    modulus: int
+    codes: np.ndarray
+    flag: np.ndarray
+    weights: np.ndarray
+    tnz: np.ndarray
+    member: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.codes, self.flag, self.weights, self.tnz, self.member):
+            array.flags.writeable = False
+
+    def report_fields(self):
+        """(weights, dimension, repeated_value, multiplicity, divergent).
+
+        One row or entry per flagged class, in the order of ``codes``:
+        its weights ascending (padded with N past its dimension), the least
+        weight occurring twice and its count, and whether the set and
+        indexed multisets differ.
+        """
+        n = self.modulus
+        weights = self.weights.compress(self.flag, axis=1)
+        repeat = (weights[1:] == weights[:-1]) & (weights[1:] < n)
+        # walking up a sorted column, the last repeat met is at the least repeated value
+        value = np.full(weights.shape[1], n, dtype=np.int8)
+        for k in reversed(range(n - 1)):
+            np.copyto(value, weights[k], where=repeat[k])
+        # the indexed multiset is the set one plus the weights of repeated members
+        tnz = self.tnz.compress(self.flag, axis=1)
+        first = _first_members(self.member.compress(self.flag, axis=1))
+        return (
+            weights.T,
+            (weights < n).sum(axis=0),
+            value,
+            (weights == value).sum(axis=0),
+            (tnz & ~first).any(axis=0),
+        )
+
+
+@lru_cache(maxsize=8)
+def repeat_scan(
+    modulus: int, weight: tuple[int, ...], indexed: bool, max_rows: int = MAX_TABLE_ROWS
+) -> RepeatScan:
+    """The exhaustive repeated-weight scan over every class of (N, W).
+
+    Under indexed semantics all N totally nonzero coset members count, so
+    coinciding members with equal weights make a repeat; under set
+    semantics member k counts only when its code differs from the codes of
+    all members k' < k.
     """
     n = modulus
     codes, tnz, ht, member = class_weight_stats(modulus, weight, max_rows)
-    flag = np.zeros(codes.shape[0], dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = tnz[i] & tnz[j] & (ht[i] == ht[j])
-            if not indexed:
-                pair &= member[i] != member[j]
-            flag |= pair
-    return codes[flag]
-
-
-def totally_nonzero_count(modulus: int) -> int:
-    rows = zero_sum_table(modulus)
-    return int(rows.all(axis=1).sum())
+    weights = ht.astype(np.int8)
+    np.putmask(weights, ~(tnz if indexed else tnz & _first_members(member)), n)
+    _sort_columns(weights)
+    flag = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)
+    return RepeatScan(n, codes.compress(flag), flag, weights, tnz, member)

@@ -16,6 +16,15 @@ duplicates, which is the right notion for the pigeonhole argument behind the
 repeated-weight witnesses: when ord(W) < N the same element is counted
 N/ord(W) times.  The two agree whenever ord(W) = N, in particular for the
 classical weight.
+
+The per-class functions (``hodge_data``, ``semantics_divergent``, the two
+witness constructions) run the recipe in plain Python.  The exhaustive scan
+does not: ``_bulk.repeat_scan`` evaluates the recipe for every class at once
+in numpy, and its one cached result serves ``repeated_ht_scan``,
+``repeated_class_representatives`` and ``scan_contains``.  Each report's
+fields (sorted weights, least repeated value, multiplicity, set/indexed
+divergence) come from that result's arrays.  The per-class recipe is the
+scan's test oracle.
 """
 
 from dataclasses import dataclass
@@ -154,12 +163,16 @@ def total_dimension(modulus: int, weight: WeightVector | None = None) -> int:
     """Sum of set-semantics dimensions over all classes.
 
     Equals the number of totally nonzero zero-sum vectors, since each lies in
-    exactly one coset; in particular the value does not depend on W.
+    exactly one coset; in particular the value does not depend on W.  That
+    number is ((N-1)^N + (-1)^N (N-1)) / N: averaging over the N additive
+    characters chi of Z/N, the trivial one contributes (N-1)^N and each
+    other one (sum over u != 0 of chi(u))^N = (-1)^N.
     """
     weight = classical_weight(modulus) if weight is None else weight
     if weight.modulus != modulus:
         raise ValueError("weight modulus does not match")
-    return _bulk.totally_nonzero_count(modulus)
+    n = modulus
+    return ((n - 1) ** n + (-1) ** n * (n - 1)) // n
 
 
 def _witness_from_class(cls: CharClass, semantics: Semantics) -> WitnessReport | None:
@@ -253,21 +266,30 @@ def repeated_ht_scan(
     """Every class whose weight multiset has a repeat, by exhaustive scan.
 
     Ordered by canonical representative.  Independent of the witness
-    constructions above: it enumerates the full table of zero-sum vectors.
+    constructions above: it enumerates the full table of zero-sum vectors,
+    and each report's fields come from the scan's arrays
+    (``_bulk.repeat_scan``), not from the per-class recipe.
     """
     weight = classical_weight(modulus) if weight is None else weight
     if weight.modulus != modulus:
         raise ValueError("weight modulus does not match")
     if semantics not in ("set", "indexed"):
         raise ValueError(f"semantics must be 'set' or 'indexed', got {semantics!r}")
-    codes = _bulk.repeated_weight_codes(modulus, weight.entries, semantics == "indexed", max_rows)
-    reports = []
-    for code in codes:
-        cls = CharClass(weight, ResidueVector(modulus, _bulk.decode(int(code), modulus)))
-        report = _witness_from_class(cls, semantics)
-        assert report is not None, "scan flagged a class without a repeat"
-        reports.append(report)
-    return tuple(reports)
+    scan = _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed", max_rows)
+    fields = zip(
+        _bulk.decode_many(scan.codes, modulus),
+        *(array.tolist() for array in scan.report_fields()),
+    )
+    return tuple(
+        WitnessReport(
+            char_class=CharClass(weight, ResidueVector(modulus, rep)),
+            hodge=HodgeData(modulus, dim, tuple(weights[:dim]), semantics),
+            repeated_value=value,
+            multiplicity=mult,
+            semantics_divergent=divergent,
+        )
+        for rep, weights, dim, value, mult, divergent in fields
+    )
 
 
 def repeated_class_representatives(
@@ -280,8 +302,8 @@ def repeated_class_representatives(
     weight = classical_weight(modulus) if weight is None else weight
     if weight.modulus != modulus:
         raise ValueError("weight modulus does not match")
-    codes = _bulk.repeated_weight_codes(modulus, weight.entries, semantics == "indexed", max_rows)
-    return tuple(_bulk.decode_many(codes, modulus))
+    scan = _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed", max_rows)
+    return tuple(_bulk.decode_many(scan.codes, modulus))
 
 
 def scan_contains(
@@ -294,9 +316,9 @@ def scan_contains(
     Runs the same scan as repeated_ht_scan but answers membership by binary
     search on the flagged canonical codes instead of materializing reports.
     """
-    codes = _bulk.repeated_weight_codes(
+    codes = _bulk.repeat_scan(
         cls.modulus, cls.weight.entries, semantics == "indexed", max_rows
-    )
+    ).codes
     code = _bulk.encode_one(cls.representative.entries, cls.modulus)
     i = int(np.searchsorted(codes, code))
     return i < len(codes) and int(codes[i]) == code

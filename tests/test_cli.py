@@ -150,6 +150,12 @@ class TestCount:
         assert code == 4
         assert "budget" in err
 
+    def test_n9_fast_count_exits_0(self, capsys):
+        doc = run_json(["count", "--N", "9", "--p", "2", "--t", "0", "--strategy", "fast"], capsys)
+        fiber = doc["payload"]["fibers"][0]
+        assert fiber["weil_bound_ok"] == 1
+        assert fiber["lefschetz_identity_ok"] == 1
+
     def test_both_strategies(self, capsys):
         doc = run_json(["count", "--N", "5", "--p", "11", "--t", "2", "--strategy", "both"], capsys)
         fibers = doc["payload"]["fibers"]

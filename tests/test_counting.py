@@ -254,6 +254,11 @@ class TestTraceAndBounds:
         assert not weil_bound_ok(limit + 1, 11, 5)
         assert weil_bound_ok(-limit, 11, 5)
 
+    def test_weil_bound_beyond_table_limit(self):
+        # N = 9 needs the total dimension of a 9^8-vector table; no table is built
+        assert weil_bound_ok(0, 7, 9) is True
+        assert weil_bound_ok(10**12, 7, 9) is False
+
     def test_bounds_over_smooth_fibers(self):
         f = field_make(11, 1)
         for t in range(11):

@@ -17,6 +17,7 @@ from dworklab.characters import (
 from dworklab.hodge import (
     HodgeData,
     WitnessConstructionError,
+    _witness_from_class,
     classical_repeat_class,
     construct_repeat_witness,
     dual_class,
@@ -183,9 +184,19 @@ class TestTotalDimension:
         brute = sum(1 for v in product(range(1, 5), repeat=5) if sum(v) % 5 == 0)
         assert total_dimension(5) == brute == 204
 
-    @pytest.mark.parametrize("n,expected", [(1, 0), (2, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "n,expected", [(1, 0), (2, 1), (3, 2), (9, 14_913_080), (10, 348_678_441)]
+    )
     def test_small(self, n, expected):
         assert total_dimension(n) == expected
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_equals_residue_count(self, n):
+        # independent oracle: count tuples in {1..N-1}^N by their sum mod N
+        ways = [1] + [0] * (n - 1)
+        for _ in range(n):
+            ways = [sum(ways[(s - u) % n] for u in range(1, n)) for s in range(n)]
+        assert total_dimension(n) == ways[0]
 
     @pytest.mark.parametrize(
         "n,weights",
@@ -342,3 +353,58 @@ class TestScan:
         assert report.char_class.representative.entries in set(
             repeated_class_representatives(6, w)
         )
+
+
+def _compositions(n):
+    """Every weight vector of length n: non-negative entries summing to n."""
+    return [w for w in product(range(n + 1), repeat=n) if sum(w) == n]
+
+
+# every W at N <= 5, and a fixed sample at N = 6, 7 covering ord(W) = 1, 2, 3, N
+# and the recipe's refusal family (0, 2, 1, ..., 1)
+ORACLE_CASES = [(n, w) for n in range(1, 6) for w in _compositions(n)] + [
+    (6, (1, 1, 1, 1, 1, 1)),
+    (6, (0, 2, 2, 2, 0, 0)),
+    (6, (3, 3, 0, 0, 0, 0)),
+    (6, (0, 0, 6, 0, 0, 0)),
+    (6, (2, 0, 1, 1, 1, 1)),
+    (7, (1, 1, 1, 1, 1, 1, 1)),
+    (7, (0, 2, 1, 1, 1, 1, 1)),
+]
+
+
+def _unreported_classes(n, w, reported, rng):
+    """Every class outside `reported` up to N = 5; a seeded sample of 40 beyond."""
+    if n <= 5:
+        return [c for c in enumerate_classes(n, w) if c.representative.entries not in reported]
+    out = []
+    while len(out) < 40:
+        head = [rng.randrange(n) for _ in range(n - 1)]
+        c = class_of(head + [-sum(head) % n], w)
+        if c.representative.entries not in reported:
+            out.append(c)
+    return out
+
+
+class TestScanReportOracle:
+    """The scan's array-built reports against the per-class recipe."""
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    def test_reports_match_recipe(self, semantics):
+        rng = random.Random(20081)
+        for n, weights in ORACLE_CASES:
+            w = WeightVector(n, weights)
+            case = (n, weights, semantics)
+            reports = repeated_ht_scan(n, w, semantics)
+            reps = tuple(r.char_class.representative.entries for r in reports)
+            expected = tuple(_witness_from_class(class_of(rep, w), semantics) for rep in reps)
+            assert reports == expected, case
+            for r in reports:
+                assert type(r.repeated_value) is type(r.multiplicity) is int, case
+                assert type(r.semantics_divergent) is bool, case
+                assert all(type(x) is int for x in r.hodge.weights), case
+            assert repeated_class_representatives(n, w, semantics) == reps, case
+            assert all(scan_contains(r.char_class, semantics) for r in reports), case
+            for c in _unreported_classes(n, w, set(reps), rng):
+                assert not scan_contains(c, semantics), (case, c)
+                assert _witness_from_class(c, semantics) is None, (case, c)
