@@ -42,11 +42,11 @@ for t in range(11):
     print(f"   t = {t}: {naive.projective_count} points, trace {naive.trace:+6d} "
           f"(|trace| <= {bound}: {bool(weil_bound_ok(naive.trace, 11, N))}); strategies {agree}")
 
-print("\nExtension tower above F_11 (naive counter on the quadratic extension):")
+print("\nExtension tower above F_11:")
 for fc in tower_counts(FiberSpec(N, W, 2, field), 2):
     q = fc.spec.field.q
     expected = sum(q**j for j in range(N - 1))
-    print(f"   q = {q}: {fc.projective_count} points, trace {fc.trace} "
+    print(f"   q = {q} ({fc.strategy} counter): {fc.projective_count} points, trace {fc.trace} "
           f"(count + trace = {fc.projective_count + fc.trace} = 1+q+q^2+q^3: "
           f"{fc.projective_count + fc.trace == expected})")
 

@@ -7,7 +7,8 @@ Subcommands
     count     exact fiber point counts, traces, bound checks, towers
     report    the full classical table document for N = 5
 
-Every command accepts --format json|text, --workers, --budget and --out.
+Every command accepts --format json|text, --workers (at most the number of
+CPUs), --budget and --out.
 JSON goes to stdout (or the --out file), diagnostics to stderr.  Payloads
 contain exact integers only, orderings are deterministic, and repeated runs
 with the same flags produce byte-identical JSON (timings are therefore
@@ -19,6 +20,7 @@ capability), 4 work budget exceeded.
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -455,7 +457,8 @@ def _emit(doc: ReportDocument, args) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="counting threads, at most the number of CPUs")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--out", default=None, help="write the document to a file")
 
@@ -510,6 +513,11 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "witness" and args.N < 3:
         print("error: witness requires N >= 3", file=sys.stderr)
+        return EXIT_USAGE
+    cpus = os.cpu_count() or 1
+    if args.workers > cpus:
+        print(f"error: --workers {args.workers} exceeds the {cpus} CPUs of this machine",
+              file=sys.stderr)
         return EXIT_USAGE
 
     try:

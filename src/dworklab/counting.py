@@ -17,23 +17,27 @@ Two counters are provided and must agree:
   nonzero coordinate scaled to 1) and evaluates the equation through
   precomputed power tables.  It works for any weight and any small field,
   prime or extension, and is the reference.
-* ``count_projective_fast`` (classical weight, prime fields) splits off the
+* ``count_projective_fast`` (classical weight, any GF(p^m)) splits off the
   points with a zero coordinate, which satisfy the diagonal equation
-  sum x_i^N = 0 and are counted by additive convolutions of the table
-  r(a) = #{x : x^N = a}; on the totally nonzero torus it normalizes the last
-  coordinate to 1 and resolves the first coordinate through the table
-  M[c][a] = #{x != 0 : x^N - c x = a}, built once in O(q^2).  Total work
-  O(q^(N-2)) instead of O(q^(N-1)).
+  sum x_i^N = 0 and are counted by additive convolutions over (Z/p)^m of the
+  table r(a) = #{x != 0 : x^N = a}; on the totally nonzero torus it
+  normalizes the last coordinate to 1 and resolves the first coordinate
+  through the table M[c][a] = #{x != 0 : x^N - c x = a}, built once in
+  O(q^2).  It works on logs over a generator, with Zech logs for addition,
+  so every table it builds besides M has size q.  Total work O(q^(N-2))
+  instead of O(q^(N-1)).
 
-Counting partitions the outer coordinate range into chunks; workers > 1
-spreads the chunks over threads, and the total is the same either way.
+``tower_counts`` uses the stratified counter for the classical weight and
+the naive one otherwise.  Both counters split their outer loop into ranges;
+workers > 1 spreads the ranges over threads, and the total is the same
+either way.
 """
 
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +68,6 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000_000  # evaluated candidates per invocation
-_CHUNK = 1 << 22
 _MAX_TABLE_Q = 1 << 20  # exp/log tables refuse beyond this
 
 
@@ -216,7 +219,8 @@ class FiniteField:
     coefficient compared first), so two builds of the same field agree.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_add_table", "_mul_table")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_add_table", "_mul_table",
+                 "_log_tables")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -227,6 +231,7 @@ class FiniteField:
         self._log = None
         self._add_table = None
         self._mul_table = None
+        self._log_tables = None
         if m > 1:
             if self.q > _MAX_TABLE_Q:
                 raise CapabilityError(
@@ -261,7 +266,7 @@ class FiniteField:
         acc = 1
         for i in range(q - 1):
             exp[i] = acc
-            acc = self._raw_mul(acc, g)
+            acc = acc * g % q if self.m == 1 else self._raw_mul(acc, g)
         if acc != 1:
             raise RuntimeError("generator power table failed to close")
         log = np.zeros(q, dtype=np.int64)
@@ -271,7 +276,7 @@ class FiniteField:
 
     def _find_generator(self) -> int:
         factors = _prime_factors(self.q - 1)
-        for g in range(2, self.q):
+        for g in range(1, self.q):  # g = 1 passes only for q = 2, where q - 1 has no prime factor
             if all(self._raw_pow(g, (self.q - 1) // r) != 1 for r in factors):
                 return g
         raise RuntimeError("no multiplicative generator found")
@@ -350,6 +355,30 @@ class FiniteField:
         return int(self._exp[1])
 
     # -- vectorized helpers for the counters
+
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, zech) index arrays of size q over the generator g, built once.
+
+        Logs run over 0..q-2, and q-1 stands for the log of 0: log[a] is the
+        log of the element with code a, and zech[i] = log(1 + g^i), with
+        zech[q-1] = log 1 = 0.  Then log(g^a + g^b) = a + zech[b - a], so
+        addition becomes index arithmetic.  Prime fields build these on first
+        use; they are O(q), unlike the q x q tables.
+        """
+        if self._log_tables is None:
+            q, p = self.q, self.p
+            if q > _MAX_TABLE_Q:
+                raise CapabilityError(f"field of order {q} exceeds the table limit {_MAX_TABLE_Q}")
+            if self._exp is None:
+                self._build_tables()
+            antilog = np.append(self._exp, 0)  # g^i, and 0 at index q-1
+            log = self._log.copy()
+            log[0] = q - 1
+            # 1 + x adds one to the constant coefficient, the lowest base-p digit
+            zech = log[antilog - antilog % p + (antilog % p + 1) % p]
+            log.flags.writeable = zech.flags.writeable = False
+            self._log_tables = (log, zech)
+        return self._log_tables
 
     def pow_table(self, e: int) -> np.ndarray:
         """t[x] = x^e for all field elements, as int64."""
@@ -640,87 +669,178 @@ def count_projective_naive(
 
 
 # ---------------------------------------------------------------------------
-# the stratified counter (classical weight, prime fields)
+# the stratified counter (classical weight, any finite field)
+#
+# Field elements are handled by their logs over a generator g (q-1 is the
+# log of 0, see FiniteField.log_tables): products are sums of logs, and sums
+# go through the Zech table.
+
+_GRID_MIN = 1 << 13  # torus tuples in the grid swept by each vector pass: at least,
+_GRID_MAX = 1 << 21  # and at most (past this, its arrays fall out of cache)
+_M_BLOCK = 1 << 18  # entries of the M table built per vector pass
 
 
-def _cyclic_convolve(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    full = np.convolve(a, b)
-    out = full[:q].copy()
-    out[: q - 1] += full[q:]
-    return out
+def _fast_work(q: int, N: int) -> int:
+    """Work estimate of `count_projective_fast` over GF(q), checked against the budget.
+
+    The torus sweep visits (q-1)^(N-2) tuples, the M table has q^2 entries,
+    and the zero stratum convolves q-element arrays N-3 times over the
+    (q-1)/gcd(N, q-1) nonzero N-th powers, then takes one q-term dot product.
+    """
+    return (q - 1) ** (N - 2) + q * q + max(N - 3, 0) * q * ((q - 1) // gcd(N, q - 1)) + q
+
+
+def _log_add(a, b, zech: np.ndarray, n: int):
+    """log(x + y) from a = log x and b = log y, elementwise; n = q-1 is the log of 0."""
+    d = np.where(b == n, n, (b - a) % n)
+    z = zech[d]
+    out = np.where(z == n, n, (a + z) % n)
+    return np.where(a == n, b, out)
+
+
+def _zero_stratum(field: FiniteField, N: int) -> int:
+    """Projective points with a zero coordinate: they lie on sum x_i^N = 0.
+
+    With T_j the number of (x_1..x_j) in (F_q^*)^j with sum x_i^N = 0, the
+    affine solutions with exactly k zero coordinates number C(N, k) T_(N-k).
+    T_j is read at 0 from the j-fold convolution of r(a) = #{x != 0 : x^N = a}
+    over the additive group (Z/p)^m, exactly in integers.
+    """
+    q, p, m = field.q, field.p, field.m
+    codes = np.arange(q, dtype=np.int64)
+    digits = [(codes // p ** i) % p for i in range(m)]
+    neg = sum(((-d) % p) * p ** i for i, d in enumerate(digits))
+    r = np.bincount(field.pow_table(N)[1:], minlength=q)
+    support = np.flatnonzero(r)
+    # a code's base-p digits, highest first, are its coordinates in (Z/p)^m
+    shifts = [tuple(int(digits[i][y]) for i in reversed(range(m))) for y in support]
+    axes = tuple(range(m))
+
+    def convolve(c: np.ndarray) -> np.ndarray:
+        grid = c.reshape((p,) * m)
+        out = np.zeros_like(grid)
+        for y, shift in zip(support, shifts):
+            out += r[y] * np.roll(grid, shift, axis=axes)  # out[x] += r(y) c(x - y)
+        return out.ravel()
+
+    tnz = [0] * N  # T_j for 1 <= j <= N-1; T_1 = 0, as x^N = 0 forces x = 0
+    c = r
+    for j in range(2, N - 1):
+        c = convolve(c)
+        tnz[j] = int(c[0])
+    if N > 2:
+        tnz[N - 1] = int(np.dot(c, r[neg]))  # the last convolution, read at 0 only
+    affine = sum(comb(N, k) * tnz[N - k] for k in range(1, N))
+    return affine // (q - 1)
+
+
+def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
+    """M[k][b] = #{x != 0 : x^N - c x = g^b}, c = g^k, as int32 of shape (q-1, q).
+
+    Column q-1 counts x^N - c x = 0.  With c_zero the one row is c = 0.
+    Rows are built in blocks: for x = g^j, x^N - c x = g^(Nj) (1 + g^(k + j + h - Nj))
+    with g^h = -1, one Zech lookup per entry.
+    """
+    log, zech = field.log_tables()
+    q, n = field.q, field.q - 1
+    j = np.arange(n, dtype=np.int64)
+    power = N * j % n
+    if c_zero:
+        return np.bincount(power, minlength=q).astype(np.int32)[None, :]
+    rows = n
+    table = np.empty((rows, q), dtype=np.int32)
+    h = int(log[field.neg(1)])
+    shift = (j + h - power) % n
+    # zech over two periods, so that k + shift needs no reduction; its log-0
+    # entries become 2n, which `fold` sends to column n
+    zech2 = np.tile(zech[:n], 2)
+    zech2[zech2 == n] = 2 * n
+    fold = np.concatenate([np.arange(2 * n) % n, np.full(n, n)])
+    block = max(1, _M_BLOCK // q)
+    for k0 in range(0, rows, block):
+        k = np.arange(k0, min(k0 + block, rows), dtype=np.int64)
+        cols = fold[power + zech2[k[:, None] + shift]]
+        cols += (k - k0)[:, None] * q
+        table[k0 : k0 + len(k)] = np.bincount(cols.ravel(), minlength=len(k) * q).reshape(len(k), q)
+    return table
 
 
 def count_projective_fast(
     spec: FiberSpec, workers: int = 1, budget: int = DEFAULT_BUDGET
 ) -> FiberCount:
-    """Stratified exact count; must agree with the naive counter.
+    """Stratified exact count over any GF(p^m); must agree with the naive counter.
 
     Zero stratum: any vanishing coordinate kills the monomial, so those
-    points satisfy the diagonal equation and are counted by N-fold additive
-    convolution of r(a) = #{x : x^N = a}.  Torus stratum: normalize the last
-    coordinate to 1 and read off the number of solutions in the first
-    coordinate from M[c][a] = #{x != 0 : x^N - c x = a}.
+    points satisfy the diagonal equation and are counted by additive
+    convolutions (`_zero_stratum`).  Torus stratum: normalize the last
+    coordinate to 1, run over the logs l_i of the N-2 middle coordinates y_i,
+    and read off the number of first coordinates x from
+    M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N).
+    The last middle coordinates form a fixed grid swept by vector passes; a
+    short Python loop runs over the others.
     """
     if not spec.weight.classical:
         raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
-    if spec.field.m != 1:
-        raise CapabilityError("the stratified counter requires a prime field")
-    q, N, t = spec.field.q, spec.N, spec.t
-    required = q ** (N - 2)
+    field = spec.field
+    q, N = field.q, spec.N
+    required = _fast_work(q, N)
     if required > budget:
         raise BudgetError(required, budget, what=f"stratified count over GF({q})")
 
     started = time.perf_counter()
-    xs = np.arange(q, dtype=np.int64)
-    pow_n = spec.field.pow_table(N)
+    log, zech = field.log_tables()
+    n = q - 1
+    ct = field.mul(N % field.p, spec.t)
+    # M rows are logs of c = ct * prod y_i; when t = 0 the only row is c = 0
+    rows = 1 if ct == 0 else n
+    m_flat = _m_table(field, N, ct == 0).ravel()
 
-    # points with at least one zero coordinate, on the diagonal sum x_i^N = 0
-    r = np.bincount(pow_n, minlength=q).astype(np.int64)
-    r_nonzero = r.copy()
-    r_nonzero[0] -= 1
-    conv_all, conv_tnz = r.copy(), r_nonzero.copy()
-    for _ in range(N - 1):
-        conv_all = _cyclic_convolve(conv_all, r, q)
-        conv_tnz = _cyclic_convolve(conv_tnz, r_nonzero, q)
-    zero_stratum = (int(conv_all[0]) - 1 - int(conv_tnz[0])) // (q - 1)
+    h = int(log[field.neg(1)])
+    steps = np.arange(n, dtype=np.int64)
+    powers = N * steps % n
 
-    # M[c][a] = #{x in F_q^* : x^N - c x = a}
-    nz = xs[1:]
-    m_table = np.zeros((q, q), dtype=np.int64)
-    for c in range(q):
-        vals = (pow_n[nz] - c * nz) % q
-        m_table[c] = np.bincount(vals, minlength=q)
-    m_flat = m_table.ravel()
+    def grid(k: int, l0: int, s0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Over all k-tuples of logs: (l0 + sum l_i) mod rows, log of -(s0 + sum y_i^N)."""
+        l = np.array([l0 % rows], dtype=np.int64)
+        s = np.array([s0], dtype=np.int64)
+        for _ in range(k):
+            l = ((l[:, None] + steps) % rows).ravel()
+            s = _log_add(s[:, None], powers, zech, n).ravel()
+        return l, np.where(s == n, n, (s + h) % n)
 
-    # torus stratum: x_N = 1, middle coordinates y in (F_q^*)^{N-2}
-    ct = (N % q) * t % q
     middle = N - 2
-    total_tuples = (q - 1) ** middle
-    pow_n_nz = pow_n[1:]
+    inner = min(middle, 1)
+    while inner < middle and n ** inner < _GRID_MIN:
+        inner += 1
+    if inner > 1 and n ** inner > _GRID_MAX:
+        inner -= 1
+    lin, neg_sin = grid(inner, 0, n)
+    # (row - rows) * q indexes M from its end: row + L wraps past `rows` for free
+    base = (lin - rows) * q
+    lout, neg_uout = grid(middle - inner, int(log[ct]) if rows > 1 else 0, 0)
+    all_logs = np.arange(q, dtype=np.int64)
 
-    def torus_range(start: int, stop: int) -> int:
+    def sweep(start: int, stop: int) -> int:
+        idx = np.empty(len(base), dtype=np.int64)
+        vals = np.empty(len(base), dtype=m_flat.dtype)
         hits = 0
-        for s in range(start, stop, _CHUNK):
-            e = min(s + _CHUNK, stop)
-            idx = np.arange(s, e, dtype=np.int64)
-            ssum = np.full(e - s, 1, dtype=np.int64)  # the normalized coordinate contributes 1
-            prod = np.full(e - s, ct, dtype=np.int64)
-            for j in range(middle):
-                col = (idx // (q - 1) ** (middle - 1 - j)) % (q - 1)
-                ssum += pow_n_nz[col]
-                prod = prod * (col + 1) % q
-            a = (-ssum) % q
-            hits += int(m_flat[prod * q + a].sum())
+        for lo, nu in zip(lout[start:stop].tolist(), neg_uout[start:stop].tolist()):
+            # column of each inner tuple: log(-(u + s)) = log((-u) + (-s)), plus the row shift
+            cols = _log_add(nu, all_logs, zech, n) + lo * q
+            np.take(cols, neg_sin, out=idx)
+            idx += base
+            np.take(m_flat, idx, out=vals)
+            hits += int(vals.sum())
         return hits
 
-    ranges = _split_range(total_tuples, workers)
+    ranges = _split_range(len(lout), workers)
     if len(ranges) == 1:
-        torus = torus_range(0, total_tuples)
+        torus = sweep(0, len(lout))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            torus = sum(pool.map(lambda rg: torus_range(rg[0], rg[1]), ranges))
+            torus = sum(pool.map(lambda rg: sweep(rg[0], rg[1]), ranges))
 
-    total = zero_stratum + torus
+    total = _zero_stratum(field, N) + torus
     trace = middle_trace(total, q, N) if N % 2 == 1 else None
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)
 
@@ -856,11 +976,13 @@ def tower_counts(
     workers: int = 1,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[FiberCount, ...]:
-    """Naive counts over the extension tower F_{q^m}, m = 1..m_max.
+    """Counts over the extension tower F_{q^m}, m = 1..m_max.
 
-    The parameter must lie in the prime subfield so that it lifts to every
-    level unchanged.  Refuses up front, with an estimate, when the total
-    candidate work would exceed the budget.
+    Each level is counted by `count_projective_fast` when the weight is
+    classical and by `count_projective_naive` otherwise; its `strategy` says
+    which.  The parameter must lie in the prime subfield so that it lifts to
+    every level unchanged.  Refuses up front, with an estimate, when the
+    summed work of the counters the levels use would exceed the budget.
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
@@ -870,7 +992,11 @@ def tower_counts(
             "tower counts need a parameter in the prime subfield (t < p); "
             f"got t = {spec.t} over {base}"
         )
-    required = sum(candidate_count(base.p ** (base.m * m), spec.N) for m in range(1, m_max + 1))
+    if spec.weight.classical:
+        counter, work = count_projective_fast, _fast_work
+    else:
+        counter, work = count_projective_naive, candidate_count
+    required = sum(work(base.p ** (base.m * m), spec.N) for m in range(1, m_max + 1))
     if required > budget:
         raise BudgetError(required, budget, what=f"tower to level {m_max} over {base}")
 
@@ -878,5 +1004,5 @@ def tower_counts(
     for m in range(1, m_max + 1):
         level_field = base if m == 1 else field_make(base.p, base.m * m)
         level_spec = FiberSpec(spec.N, spec.weight, spec.t, level_field)
-        counts.append(count_projective_naive(level_spec, workers=workers, budget=budget))
+        counts.append(counter(level_spec, workers=workers, budget=budget))
     return tuple(counts)

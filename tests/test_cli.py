@@ -1,6 +1,7 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
@@ -167,11 +168,23 @@ class TestCount:
             assert f["lefschetz_identity_ok"] == 1
             assert f["weil_bound_ok"] == 1
 
+    def test_extension_field_both_strategies(self, capsys):
+        doc = run_json(["count", "--N", "5", "--p", "3", "--m", "2", "--t", "2",
+                        "--strategy", "both"], capsys)
+        fibers = doc["payload"]["fibers"]
+        assert [f["strategy"] for f in fibers] == ["naive", "fast"]
+        assert fibers[0]["projective_count"] == fibers[1]["projective_count"]
+        assert doc["payload"]["strategies_agree"] == 1
+
     def test_tower(self, capsys):
         doc = run_json(["count", "--N", "5", "--p", "3", "--t", "2", "--tower", "2"], capsys)
         fibers = doc["payload"]["fibers"]
         assert [f["q"] for f in fibers] == [3, 9]
         assert all(f["lefschetz_identity_ok"] == 1 for f in fibers)
+        assert [f["strategy"] for f in fibers] == ["fast", "fast"]
+        doc = run_json(["count", "--N", "4", "--W", "2,2,0,0", "--p", "3", "--t", "0",
+                        "--tower", "2"], capsys)
+        assert [f["strategy"] for f in doc["payload"]["fibers"]] == ["naive", "naive"]
 
     def test_extension_coefficients(self, capsys):
         doc = run_json(["count", "--N", "5", "--p", "3", "--m", "2", "--t", "2,1"], capsys)
@@ -180,9 +193,18 @@ class TestCount:
 
     def test_workers_flag(self, capsys):
         doc1 = run_json(["count", "--N", "5", "--p", "11", "--t", "2"], capsys)
-        doc2 = run_json(["count", "--N", "5", "--p", "11", "--t", "2", "--workers", "3"], capsys)
+        workers = str(min(3, os.cpu_count() or 1))
+        doc2 = run_json(["count", "--N", "5", "--p", "11", "--t", "2", "--workers", workers],
+                        capsys)
         assert doc1["payload"]["fibers"][0]["projective_count"] == \
             doc2["payload"]["fibers"][0]["projective_count"]
+
+    def test_workers_above_cpu_count_exits_2(self, capsys):
+        too_many = str((os.cpu_count() or 1) + 1)
+        code, out, err = run(["count", "--N", "3", "--p", "5", "--t", "2", "--workers", too_many],
+                             capsys)
+        assert code == 2
+        assert out == "" and "--workers" in err
 
 
 class TestReport:
@@ -266,6 +288,7 @@ class TestInterface:
             ["witness", "--N", "5"],
             ["count", "--N", "5", "--p", "11", "--t", "2", "--strategy", "both"],
             ["count", "--N", "5", "--p", "3", "--t", "2", "--tower", "2"],
+            ["count", "--N", "5", "--p", "3", "--m", "2", "--t", "2", "--strategy", "both"],
             ["report"],
         ):
             doc = run_json(argv, capsys)

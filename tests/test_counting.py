@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -24,6 +25,11 @@ from dworklab.counting import (
     tower_counts,
     weil_bound_ok,
 )
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:  # pragma: no cover
+    given = None
 
 W5 = classical_weight(5)
 
@@ -216,16 +222,81 @@ class TestFastCounter:
         with pytest.raises(CapabilityError):
             count_projective_fast(spec)
 
-    def test_requires_prime_field(self):
+    def test_extension_field_equals_naive(self):
         spec = FiberSpec(5, W5, 2, field_make(3, 2))
-        with pytest.raises(CapabilityError):
-            count_projective_fast(spec)
+        assert count_projective_fast(spec).projective_count == \
+            count_projective_naive(spec).projective_count
+
+    def test_budget_counts_the_m_table(self):
+        # 100 torus tuples, but the M table alone has about 101^2 entries
+        spec = FiberSpec(3, classical_weight(3), 2, field_make(101, 1))
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=5_000)
+        assert err.value.required > 101 ** 2
+        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+            count_projective_naive(spec).projective_count
 
     def test_nth_power_table_spot_value(self):
         # r(0) = 1: only x = 0 has x^5 = 0
         q = 11
         r = [sum(1 for x in range(q) if pow(x, 5, q) == a) for a in range(q)]
         assert r[0] == 1
+
+
+# (p, m, N): the fields GF(4) .. GF(49) at each N = 3, 4, 5 prime to their order
+EXTENSION_CASES = [
+    (p, m, n)
+    for p, m in [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (7, 2)]
+    for n in (3, 4, 5)
+    if gcd(p ** m, n) == 1
+]
+
+
+def _smooth_params(field, n):
+    return [t for t in range(field.q) if field.pow(t, n) != 1]
+
+
+def _admissible(max_candidates):
+    """(p, m, N) with N in 3..7, gcd(p^m, N) = 1 and a naive count of at most max_candidates."""
+    out = []
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 7):
+            for n in range(3, 8):
+                q = p ** m
+                if gcd(q, n) == 1 and candidate_count(q, n) <= max_candidates:
+                    out.append((p, m, n))
+    return out
+
+
+class TestFastOverAllFields:
+    @pytest.mark.parametrize("p,m,n", EXTENSION_CASES)
+    def test_every_smooth_parameter(self, p, m, n):
+        field = field_make(p, m)
+        weight = classical_weight(n)
+        for t in _smooth_params(field, n):  # includes t = 0
+            spec = FiberSpec(n, weight, t, field)
+            assert count_projective_fast(spec).projective_count == \
+                count_projective_naive(spec).projective_count, t
+
+    def test_workers_deterministic(self):
+        field = field_make(2, 4)
+        spec = FiberSpec(5, W5, _smooth_params(field, 5)[-1], field)
+        counts = {count_projective_fast(spec, workers=k).projective_count for k in (1, 2)}
+        assert counts == {count_projective_naive(spec).projective_count}
+
+    @pytest.mark.skipif(given is None, reason="hypothesis not installed")
+    def test_random_fields_and_parameters(self):
+        @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            p, m, n = data.draw(st.sampled_from(_admissible(100_000)), label="(p, m, N)")
+            field = field_make(p, m)
+            t = data.draw(st.sampled_from(_smooth_params(field, n)), label="t")
+            spec = FiberSpec(n, classical_weight(n), t, field)
+            assert count_projective_fast(spec).projective_count == \
+                count_projective_naive(spec).projective_count
+
+        check()
 
 
 class TestTraceAndBounds:
@@ -334,6 +405,30 @@ class TestTower:
         with pytest.raises(BudgetError) as err:
             tower_counts(spec, 50)
         assert err.value.required > err.value.budget
+
+    def test_budget_sums_fast_estimates(self):
+        # the refusal quotes the fast counter's estimate, not the naive candidate count
+        spec = FiberSpec(5, W5, 2, field_make(3, 1))
+        naive_work = candidate_count(3, 5) + candidate_count(9, 5)
+        with pytest.raises(BudgetError) as err:
+            tower_counts(spec, 2, budget=100)
+        assert 100 < err.value.required < naive_work
+        assert len(tower_counts(spec, 2, budget=err.value.required)) == 2
+
+    @pytest.mark.parametrize("n,p,t,levels", [(3, 5, 2, 3), (3, 2, 0, 4), (5, 3, 2, 2), (4, 3, 0, 2)])
+    def test_classical_levels_equal_naive(self, n, p, t, levels):
+        spec = FiberSpec(n, classical_weight(n), t, field_make(p, 1))
+        tower = tower_counts(spec, levels)
+        assert [fc.spec.field.q for fc in tower] == [p ** m for m in range(1, levels + 1)]
+        for fc in tower:
+            assert fc.strategy == "fast"
+            assert fc.projective_count == count_projective_naive(fc.spec).projective_count
+
+    def test_nonclassical_tower_stays_naive(self):
+        spec = FiberSpec(4, WeightVector(4, (2, 2, 0, 0)), 0, field_make(3, 1))
+        tower = tower_counts(spec, 2)
+        assert [fc.strategy for fc in tower] == ["naive", "naive"]
+        assert tower[1].projective_count == brute_count(tower[1].spec)
 
     def test_extension_parameter_rejected(self):
         f9 = field_make(3, 2)
