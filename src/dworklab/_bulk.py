@@ -9,7 +9,9 @@ enumeration, repeated-weight scans) where a full table has N^(N-1) rows.
 When some coordinate j has gcd(w_j, N) = 1, every coset contains exactly one
 vector with v_j = 0, so the classes are enumerated directly from the
 N^(N-2)-row transversal {v : v_j = 0}; otherwise the kernels fall back to
-the full table and deduplicate.
+the full table and deduplicate.  Tables are column-major, uint8 of shape
+(N, rows), and ``class_weight_stats`` sweeps one once per (N, W); class
+enumeration and the repeated-weight scan both read that sweep.
 """
 
 from dataclasses import dataclass
@@ -18,7 +20,7 @@ from math import gcd
 
 import numpy as np
 
-# full-table fallback ceiling: N = 8 -> ~17M rows is the practical limit
+# the full table of N = 8 and the transversal of N = 9 fit; N = 9's full table does not
 MAX_TABLE_ROWS = 25_000_000
 
 
@@ -36,19 +38,15 @@ def check_table_budget(modulus: int, max_rows: int = MAX_TABLE_ROWS) -> None:
 
 
 def _sum_constrained_rows(modulus: int, positions: list[int], dep: int) -> np.ndarray:
-    """Rows over {0..N-1}^N sweeping `positions` freely, with the `dep`
-    coordinate forced by the zero-sum condition and all others zero."""
-    n = modulus
-    count = n ** len(positions)
-    idx = np.arange(count, dtype=np.int64)
-    rows = np.zeros((count, n), dtype=np.int8)
-    acc = np.zeros(count, dtype=np.int64)
-    for rank, i in enumerate(positions):
-        col = (idx // (n ** (len(positions) - 1 - rank))) % n
-        rows[:, i] = col
-        acc += col
-    rows[:, dep] = (-acc) % n
-    return rows
+    """Read-only (N, rows) table whose columns sweep `positions` freely in lex
+    order, with the `dep` coordinate forced by the zero-sum condition and all
+    others zero."""
+    n, free = modulus, len(positions)
+    table = np.zeros((n, n ** free), dtype=np.uint8)
+    table[positions] = np.indices((n,) * free, dtype=np.uint8).reshape(free, n ** free)
+    table[dep] = -table.sum(axis=0, dtype=np.int16) % n
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=6)
@@ -61,7 +59,7 @@ def zero_sum_table(modulus: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _transversal_table(modulus: int, zero_at: int) -> np.ndarray:
-    """Zero-sum vectors with coordinate `zero_at` equal to 0 (N^(N-2) rows)."""
+    """Zero-sum vectors with coordinate `zero_at` equal to 0 (N^(N-2) columns)."""
     n = modulus
     dep = n - 1 if zero_at != n - 1 else n - 2
     free = [i for i in range(n) if i not in (zero_at, dep)]
@@ -75,12 +73,9 @@ def _transversal_position(modulus: int, weight: tuple[int, ...]) -> int | None:
     return None
 
 
-def _encode(rows: np.ndarray, modulus: int) -> np.ndarray:
-    code = np.zeros(rows.shape[0], dtype=np.int64)
-    for i in range(rows.shape[1]):
-        code *= modulus
-        code += rows[:, i]
-    return code
+def code_dtype(modulus: int) -> type:
+    """The narrowest integer dtype holding every code; the largest is N^N - 1."""
+    return np.int32 if modulus ** modulus <= 2 ** 31 else np.int64
 
 
 def decode(code: int, modulus: int) -> tuple[int, ...]:
@@ -103,38 +98,59 @@ def encode_one(entries: tuple[int, ...], modulus: int) -> int:
     return code
 
 
-def _shifted(rows: np.ndarray, k: int, weight: tuple[int, ...], modulus: int) -> np.ndarray:
-    shift = np.array([(k * w) % modulus for w in weight], dtype=np.int16)
-    out = rows.astype(np.int16) + shift
-    out[out >= modulus] -= modulus
-    return out
+def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS):
+    """One sweep over the N coset members of every class of (N, W).
 
-
-def _class_rows(modulus: int, weight: tuple[int, ...], max_rows: int):
-    """(rows, canon) with one row per class; canon[i] is the lex-least coset
-    member code of row i.  Rows are not themselves canonical in general."""
+    Returns (codes, tnz, lift, member): the sorted canonical (least member)
+    codes, one per class, and three (N, n_classes) arrays whose entry [k, j]
+    describes member v_j + kW of class j: totally nonzero (bool), lift sum
+    (int16) and code (``code_dtype(N)``, as ``codes``).  The table is
+    stepped by W in place, and member k's code is a Horner pass over its N
+    rows.  On the full table a column is kept when it is its class's least
+    member; the transversal's columns are argsorted.  Each array is gathered
+    once.
+    """
     n = modulus
     j = _transversal_position(n, weight)
-    if j is not None and n >= 3:
-        if n ** (n - 2) > max_rows:
-            raise ValueError(
-                f"class enumeration for modulus {n} needs {n ** (n - 2)} rows, "
-                f"over the limit of {max_rows}"
-            )
-        rows = _transversal_table(n, j)
-        canon = _encode(rows, n)
-        for k in range(1, n):
-            np.minimum(canon, _encode(_shifted(rows, k, weight, n), n), out=canon)
-        return rows, canon
-    # fallback: dedupe the full table
-    check_table_budget(n, max_rows)
-    rows = zero_sum_table(n)
-    own = _encode(rows, n)
-    canon = own.copy()
-    for k in range(1, n):
-        np.minimum(canon, _encode(_shifted(rows, k, weight, n), n), out=canon)
-    keep = own == canon
-    return rows[keep], canon[keep]
+    full = j is None or n < 3
+    if full:
+        check_table_budget(n, max_rows)
+        table = zero_sum_table(n)
+    elif n ** (n - 2) > max_rows:
+        raise ValueError(
+            f"class enumeration for modulus {n} needs {n ** (n - 2)} rows, "
+            f"over the limit of {max_rows}"
+        )
+    else:
+        table = _transversal_table(n, j)
+
+    step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
+    vec, below = table.copy(), np.empty_like(table)
+    tnz = np.empty(table.shape, dtype=bool)
+    lift = np.empty(table.shape, dtype=np.int16)
+    member = np.empty(table.shape, dtype=code_dtype(n))
+    for k in range(n):
+        if k:
+            vec += step
+            # entries lie in 0..2N-2, and below N the uint8 vec - N wraps past them
+            np.minimum(vec, np.subtract(vec, n, out=below), out=vec)
+        code = member[k]
+        code[...] = vec[0]
+        for i in range(1, n):
+            code *= n
+            code += vec[i]
+        vec.all(axis=0, out=tnz[k])
+        vec.sum(axis=0, dtype=np.int16, out=lift[k])
+    del vec, below
+
+    canon = member.min(axis=0)
+    # the full table is in code order, so its least members come out sorted
+    order = np.flatnonzero(member[0] == canon) if full else np.argsort(canon)
+    # one array at a time, so that only one old array outlives its copy
+    tnz = tnz.take(order, axis=1)
+    lift = lift.take(order, axis=1)
+    member = member.take(order, axis=1)
+    return canon.take(order), tnz, lift, member
 
 
 @lru_cache(maxsize=8)
@@ -142,34 +158,7 @@ def canonical_class_codes(
     modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS
 ) -> np.ndarray:
     """Sorted codes of the lex-least coset representatives, one per class."""
-    _, canon = _class_rows(modulus, weight, max_rows)
-    return np.sort(canon)
-
-
-def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS):
-    """Per-class arrays used by the repeated-weight scan (which caches them).
-
-    Returns (codes, tnz, ht, member) where codes is the sorted array of
-    canonical representative codes and the other three have shape
-    (N, n_classes): entry [k, j] describes the k-th coset member of class j
-    (totally-nonzero flag, weight value, member code).
-    """
-    n = modulus
-    rows, canon = _class_rows(n, weight, max_rows)
-    order = np.argsort(canon)
-    rows = rows[order]
-    codes = canon[order]
-
-    count = rows.shape[0]
-    tnz = np.empty((n, count), dtype=bool)
-    ht = np.empty((n, count), dtype=np.int32)
-    member = np.empty((n, count), dtype=np.int64)
-    for k in range(n):
-        shifted = _shifted(rows, k, weight, n)
-        tnz[k] = shifted.all(axis=1)
-        ht[k] = shifted.sum(axis=1, dtype=np.int32) // n - 1
-        member[k] = _encode(shifted, n)
-    return codes, tnz, ht, member
+    return class_weight_stats(modulus, weight, max_rows)[0]
 
 
 def _first_members(member: np.ndarray) -> np.ndarray:
@@ -203,8 +192,9 @@ class RepeatScan:
     report fields are left to ``report_fields``.  The other arrays have one
     column per class, in code order: ``flag`` marks the flagged classes,
     column j of ``weights`` holds class j's counted weights ascending and
-    then N for its other members, and ``tnz``/``member`` are those of
-    ``class_weight_stats``.  All arrays are read-only.
+    then N for its other members (int8), and ``tnz``/``member`` are those of
+    ``class_weight_stats`` (bool, and ``code_dtype(N)`` like ``codes``).
+    All arrays are read-only.
     """
 
     modulus: int
@@ -257,8 +247,11 @@ def repeat_scan(
     all members k' < k.
     """
     n = modulus
-    codes, tnz, ht, member = class_weight_stats(modulus, weight, max_rows)
-    weights = ht.astype(np.int8)
+    codes, tnz, lift, member = class_weight_stats(modulus, weight, max_rows)
+    lift //= n
+    lift -= 1
+    weights = lift.astype(np.int8)
+    del lift
     np.putmask(weights, ~(tnz if indexed else tnz & _first_members(member)), n)
     _sort_columns(weights)
     flag = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)

@@ -124,13 +124,15 @@ def _shift(entries: tuple[int, ...], k: int, weight: WeightVector) -> tuple[int,
     return tuple((e + k * w) % n for e, w in zip(entries, weight.entries))
 
 
+def _least_shift(entries: tuple[int, ...], weight: WeightVector) -> tuple[int, ...]:
+    return min(_shift(entries, k, weight) for k in range(weight.modulus))
+
+
 def canonical_representative(vector: ResidueVector, weight: WeightVector) -> ResidueVector:
     """Lexicographically least element of the coset vector + <W>."""
     if vector.modulus != weight.modulus:
         raise ValueError("vector and weight moduli differ")
-    n = vector.modulus
-    best = min(_shift(vector.entries, k, weight) for k in range(n))
-    return ResidueVector(n, best)
+    return ResidueVector(vector.modulus, _least_shift(vector.entries, weight))
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,11 +145,11 @@ class CharClass:
     def __post_init__(self):
         if self.weight.modulus != self.representative.modulus:
             raise ValueError("weight and representative moduli differ")
-        canon = canonical_representative(self.representative, self.weight)
-        if canon != self.representative:
+        canon = _least_shift(self.representative.entries, self.weight)
+        if canon != self.representative.entries:
             raise ValueError(
                 f"{self.representative} is not the canonical coset representative "
-                f"(expected {canon}); build classes with class_of()"
+                f"(expected {ResidueVector(self.modulus, canon)}); build classes with class_of()"
             )
 
     @property
@@ -159,10 +161,17 @@ class CharClass:
 
 
 def class_of(vector: ResidueVector | Sequence[int], weight: WeightVector) -> CharClass:
-    """The class of an arbitrary zero-sum vector."""
+    """The class of an arbitrary zero-sum vector.
+
+    The representative is canonicalised here, once, so the class is built
+    without the check in ``CharClass.__post_init__``, which would repeat it.
+    """
     if not isinstance(vector, ResidueVector):
         vector = ResidueVector(weight.modulus, tuple(vector))
-    return CharClass(weight, canonical_representative(vector, weight))
+    cls = object.__new__(CharClass)
+    object.__setattr__(cls, "weight", weight)
+    object.__setattr__(cls, "representative", canonical_representative(vector, weight))
+    return cls
 
 
 def coset_elements(cls: CharClass) -> tuple[ResidueVector, ...]:
@@ -223,7 +232,7 @@ def permute_class(cls: CharClass, perm: Sequence[int]) -> CharClass:
     perm = _check_permutation(perm, cls.modulus)
     if tuple(cls.weight.entries[p] for p in perm) != cls.weight.entries:
         raise ValueError(f"permutation {perm} does not fix the weight vector {cls.weight}")
-    return class_of(apply_permutation(cls.representative, perm), cls.weight)
+    return class_of(tuple(cls.representative.entries[p] for p in perm), cls.weight)
 
 
 def apply_unit_scaling(vector: ResidueVector, unit: int) -> ResidueVector:

@@ -141,6 +141,18 @@ def _class_row(cls: CharClass) -> dict:
     }
 
 
+def _classical_table(classes, weight: WeightVector) -> dict:
+    """One row per zero-dominant form, sorted by form, each with its orbit normal form."""
+    rows = {}
+    for cls in classes:
+        form = zero_dominant_form(cls).entries
+        if form not in rows:
+            row = _class_row(class_of(form, weight))
+            row["orbit_normal_form"] = _entries(orbit_normal_form(cls))
+            rows[form] = row
+    return {form: rows[form] for form in sorted(rows)}
+
+
 def cmd_classes(args) -> ReportDocument:
     weight = _weight_from_args(args.N, args.W)
     classes = enumerate_classes(args.N, weight)
@@ -173,15 +185,8 @@ def cmd_hodge(args) -> ReportDocument:
         row["weights_indexed"] = list(hodge_data(cls, "indexed").weights)
         payload = row
     elif weight.classical:
-        rows = {}
-        for cls in enumerate_classes(args.N, weight):
-            form = zero_dominant_form(cls).entries
-            if form not in rows:
-                row = _class_row(class_of(form, weight))
-                row["orbit_normal_form"] = _entries(orbit_normal_form(cls))
-                rows[form] = row
         payload = {
-            "rows": [rows[f] for f in sorted(rows)],
+            "rows": list(_classical_table(enumerate_classes(args.N, weight), weight).values()),
             "total_dimension": total_dimension(args.N, weight),
         }
     else:
@@ -323,15 +328,9 @@ def cmd_report(args) -> ReportDocument:
     weight = classical_weight(n)
     classes = enumerate_classes(n, weight)
 
-    rows = {}
-    for cls in classes:
-        form = zero_dominant_form(cls).entries
-        if form not in rows:
-            row = _class_row(class_of(form, weight))
-            row["orbit_normal_form"] = _entries(orbit_normal_form(cls))
-            dual_form = zero_dominant_form(dual_class(class_of(form, weight)))
-            row["dual"] = _entries(dual_form)
-            rows[form] = row
+    rows = _classical_table(classes, weight)
+    for form, row in rows.items():
+        row["dual"] = _entries(zero_dominant_form(dual_class(class_of(form, weight))))
 
     census: dict[int, int] = {}
     for cls in classes:
@@ -340,7 +339,7 @@ def cmd_report(args) -> ReportDocument:
 
     orbits = symmetric_orbits(n)
     payload = {
-        "class_table": [rows[f] for f in sorted(rows)],
+        "class_table": list(rows.values()),
         "table_row_count": len(rows),
         "duality_pairs": sorted(
             {tuple(sorted((f, tuple(rows[f]["dual"])))) for f in rows}

@@ -220,7 +220,7 @@ class FiniteField:
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_add_table", "_mul_table",
-                 "_log_tables")
+                 "_log_tables", "_generator")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -232,6 +232,7 @@ class FiniteField:
         self._add_table = None
         self._mul_table = None
         self._log_tables = None
+        self._generator = None
         if m > 1:
             if self.q > _MAX_TABLE_Q:
                 raise CapabilityError(
@@ -261,7 +262,7 @@ class FiniteField:
 
     def _build_tables(self):
         q = self.q
-        g = self._find_generator()
+        g = self.generator()
         exp = np.zeros(q - 1, dtype=np.int64)
         acc = 1
         for i in range(q - 1):
@@ -273,13 +274,6 @@ class FiniteField:
         log[exp] = np.arange(q - 1)
         self._exp = exp
         self._log = log
-
-    def _find_generator(self) -> int:
-        factors = _prime_factors(self.q - 1)
-        for g in range(1, self.q):  # g = 1 passes only for q = 2, where q - 1 has no prime factor
-            if all(self._raw_pow(g, (self.q - 1) // r) != 1 for r in factors):
-                return g
-        raise RuntimeError("no multiplicative generator found")
 
     def _raw_pow(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -346,13 +340,18 @@ class FiniteField:
         return int(self._exp[(-self._log[a]) % (self.q - 1)])
 
     def generator(self) -> int:
-        if self.m == 1:
+        """The least multiplicative generator by code, the base of the exp/log tables.
+
+        For prime q > 2 this is the least primitive root; for F_2 it is 1.
+        """
+        if self._generator is None:
             factors = _prime_factors(self.q - 1)
-            for g in range(2, self.q):
-                if all(pow(g, (self.q - 1) // r, self.p) != 1 for r in factors):
-                    return g
-            raise RuntimeError("no generator found")
-        return int(self._exp[1])
+            # g = 1 passes only for q = 2, where q - 1 has no prime factor
+            self._generator = next(
+                g for g in range(1, self.q)
+                if all(self._raw_pow(g, (self.q - 1) // r) != 1 for r in factors)
+            )
+        return self._generator
 
     # -- vectorized helpers for the counters
 

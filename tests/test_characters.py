@@ -204,6 +204,21 @@ class TestGroupActions:
         with pytest.raises(ValueError):
             permute_class(c, (0, 2, 1, 3))
 
+    def test_class_permutation_is_canonical(self):
+        # class_of and permute_class build classes without CharClass's own
+        # canonicality check; constructing the same class directly runs it
+        w = WeightVector(6, (2, 2, 1, 1, 0, 0))
+        rng = random.Random(6)
+        for c in rng.sample(enumerate_classes(6, w), 40):
+            for perm in [(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 5, 4), (1, 0, 3, 2, 5, 4)]:
+                out = permute_class(c, perm)
+                assert out == CharClass(w, out.representative)
+                assert out == class_of(apply_permutation(c.representative, perm), w)
+        with pytest.raises(ValueError, match="not a permutation"):
+            permute_class(c, (0, 1, 2, 3, 4, 4))
+        with pytest.raises(ValueError, match="does not fix the weight"):
+            permute_class(c, (0, 2, 1, 3, 4, 5))
+
     def test_unit_scaling(self):
         assert apply_unit_scaling(rv((0, 0, 1, 1, 3)), 2).entries == (0, 0, 2, 2, 1)
         assert apply_unit_scaling(rv((0, 0, 1, 2, 2)), 2).entries == (0, 0, 2, 4, 4)

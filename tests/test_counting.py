@@ -124,6 +124,21 @@ class TestFieldMake:
                 x = f.mul(x, g)
             assert x == 1 and len(seen) == f.q - 1
 
+    def test_prime_field_generator_is_least_primitive_root(self):
+        for q, root in [(3, 2), (5, 2), (7, 3), (11, 2), (13, 2), (101, 2)]:
+            f = field_make(q, 1)
+            assert f.generator() == root, q
+            assert all(
+                len({pow(g, e, q) for e in range(q - 1)}) < q - 1 for g in range(2, root)
+            ), q
+            log, _ = f.log_tables()  # the tables are built on the same generator
+            assert log[root] == 1, q
+
+    def test_f2_generator_is_one(self):
+        f = field_make(2, 1)
+        assert f.generator() == 1
+        assert f.log_tables()[0].tolist() == [1, 0]
+
 
 class TestFiberSpec:
     def test_all_roots_rejected_when_q_splits(self):

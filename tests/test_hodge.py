@@ -3,8 +3,10 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from dworklab import _bulk
 from dworklab.characters import (
     WeightVector,
     class_of,
@@ -408,3 +410,69 @@ class TestScanReportOracle:
             for c in _unreported_classes(n, w, set(reps), rng):
                 assert not scan_contains(c, semantics), (case, c)
                 assert _witness_from_class(c, semantics) is None, (case, c)
+
+
+def _class_of_oracle(n, weights):
+    """Sorted canonical representatives of class_of(v, W) over all zero-sum v."""
+    w = WeightVector(n, weights)
+    reps = set()
+    for head in product(range(n), repeat=n - 1):
+        reps.add(class_of(head + ((-sum(head)) % n,), w).representative.entries)
+    return sorted(reps)
+
+
+class TestSweepOracle:
+    """The column-major sweep behind enumerate_classes against plain-Python class_of.
+
+    The cases cover the transversal path (some gcd(w_j, N) = 1), the
+    full-table fallback (none), and weights of order ord(W) < N.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_weight(self, n):
+        for weights in _compositions(n):
+            reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
+            assert reps == _class_of_oracle(n, weights), weights
+
+    @pytest.mark.parametrize(
+        "n,weights",
+        [(6, (1,) * 6), (6, (2, 2, 2, 0, 0, 0)), (6, (3, 3, 0, 0, 0, 0)),
+         (6, (6, 0, 0, 0, 0, 0)), (7, (7, 0, 0, 0, 0, 0, 0))],
+    )
+    def test_larger_moduli(self, n, weights):
+        reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
+        assert reps == _class_of_oracle(n, weights)
+
+    @pytest.mark.parametrize(
+        "n,weights",
+        [(5, (1,) * 5), (5, (0, 2, 1, 1, 1)), (5, (5, 0, 0, 0, 0)), (6, (2, 2, 2, 0, 0, 0)),
+         (6, (3, 3, 0, 0, 0, 0)), (6, (4, 2, 0, 0, 0, 0))],
+    )
+    def test_member_arrays(self, n, weights):
+        # column j, row k describes v_j + kW for the canonical representative v_j
+        codes, tnz, lift, member = _bulk.class_weight_stats(n, weights)
+        assert lift.dtype == np.int16 and tnz.dtype == bool
+        reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
+        assert [_bulk.decode(int(c), n) for c in codes] == reps
+        for j, rep in enumerate(reps):
+            shifts = [tuple((e + k * w) % n for e, w in zip(rep, weights)) for k in range(n)]
+            assert member[:, j].tolist() == [_bulk.encode_one(u, n) for u in shifts]
+            assert tnz[:, j].tolist() == [all(u) for u in shifts]
+            assert lift[:, j].tolist() == [sum(u) for u in shifts]
+
+    def test_member_codes_fit_their_dtype(self):
+        # the largest code is that of (N-1, ..., N-1), a member of some class
+        n = 8
+        codes, _, _, member = _bulk.class_weight_stats(n, (1,) * n)
+        assert member.dtype == codes.dtype == _bulk.code_dtype(n) == np.int32
+        assert int(member.max()) == n ** n - 1
+        assert _bulk.decode(int(member.max()), n) == (n - 1,) * n
+        # the largest modulus the default row limit admits (a transversal)
+        top = max(m for m in range(3, 16) if m ** (m - 2) <= _bulk.MAX_TABLE_ROWS)
+        assert top == 9
+        code = np.zeros(1, dtype=_bulk.code_dtype(top))
+        for _ in range(top):  # the sweep's Horner pass on (N-1, ..., N-1)
+            code *= top
+            code += top - 1
+        assert int(code[0]) == top ** top - 1 == _bulk.encode_one((top - 1,) * top, top)
+        assert _bulk.code_dtype(top + 1) == np.int64
