@@ -98,6 +98,20 @@ def encode_one(entries: tuple[int, ...], modulus: int) -> int:
     return code
 
 
+def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
+    """Raise unless ``codes`` strictly increase and no member code of a class
+    (a column of ``member``) is below its class's code.
+
+    Class enumeration and the repeated-weight scan build their classes from
+    these codes without re-canonicalising each one in Python; this one
+    vectorised pass is what they trust instead.
+    """
+    if not (codes[1:] > codes[:-1]).all():
+        raise RuntimeError("class sweep codes are not strictly increasing")
+    if not (member >= codes).all():
+        raise RuntimeError("class sweep code is not the least member of its class")
+
+
 def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS):
     """One sweep over the N coset members of every class of (N, W).
 
@@ -108,7 +122,7 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MA
     stepped by W in place, and member k's code is a Horner pass over its N
     rows.  On the full table a column is kept when it is its class's least
     member; the transversal's columns are argsorted.  Each array is gathered
-    once.
+    once, and ``_check_canonical`` checks the result before it is returned.
     """
     n = modulus
     j = _transversal_position(n, weight)
@@ -150,7 +164,9 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MA
     tnz = tnz.take(order, axis=1)
     lift = lift.take(order, axis=1)
     member = member.take(order, axis=1)
-    return canon.take(order), tnz, lift, member
+    codes = canon.take(order)
+    _check_canonical(codes, member)
+    return codes, tnz, lift, member
 
 
 @lru_cache(maxsize=8)

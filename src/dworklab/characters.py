@@ -160,18 +160,29 @@ class CharClass:
         return f"[{', '.join(map(str, self.representative.entries))}] mod {self.weight!r}"
 
 
+def _trusted_class(weight: WeightVector, representative: ResidueVector) -> CharClass:
+    """A class built without the check in ``CharClass.__post_init__``.
+
+    Only for representatives already known to be canonical: ``class_of``
+    canonicalises its own, and the sweep behind ``enumerate_classes`` and
+    the repeated-weight scan checks its arrays (``_bulk.class_weight_stats``).
+    """
+    cls = object.__new__(CharClass)
+    object.__setattr__(cls, "weight", weight)
+    object.__setattr__(cls, "representative", representative)
+    return cls
+
+
 def class_of(vector: ResidueVector | Sequence[int], weight: WeightVector) -> CharClass:
     """The class of an arbitrary zero-sum vector.
 
-    The representative is canonicalised here, once, so the class is built
-    without the check in ``CharClass.__post_init__``, which would repeat it.
+    The representative is canonicalised here, once, so the class is built by
+    ``_trusted_class`` without the check in ``CharClass.__post_init__``,
+    which would repeat it.
     """
     if not isinstance(vector, ResidueVector):
         vector = ResidueVector(weight.modulus, tuple(vector))
-    cls = object.__new__(CharClass)
-    object.__setattr__(cls, "weight", weight)
-    object.__setattr__(cls, "representative", canonical_representative(vector, weight))
-    return cls
+    return _trusted_class(weight, canonical_representative(vector, weight))
 
 
 def coset_elements(cls: CharClass) -> tuple[ResidueVector, ...]:
@@ -202,15 +213,17 @@ def is_totally_nonzero(vector: ResidueVector) -> bool:
 def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple[CharClass, ...]:
     """Every class exactly once, sorted by canonical representative.
 
-    There are N^(N-1) / ord(W) of them.
+    There are N^(N-1) / ord(W) of them.  The sweep's codes are canonical
+    (``_bulk.class_weight_stats`` checks its arrays), so the classes are
+    built by ``_trusted_class``.
     """
     weight = classical_weight(modulus) if weight is None else weight
     if weight.modulus != modulus:
         raise ValueError("weight modulus does not match")
     codes = _bulk.canonical_class_codes(modulus, weight.entries)
     return tuple(
-        CharClass(weight, ResidueVector(modulus, _bulk.decode(int(c), modulus)))
-        for c in codes
+        _trusted_class(weight, ResidueVector(modulus, rep))
+        for rep in _bulk.decode_many(codes, modulus)
     )
 
 

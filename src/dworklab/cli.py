@@ -44,6 +44,7 @@ from .hodge import (
     dual_class,
     hodge_data,
     repeated_ht_scan,
+    scan_contains,
     total_dimension,
     totally_nonzero_representatives,
 )
@@ -219,16 +220,19 @@ def cmd_witness(args) -> ReportDocument:
     warnings: list[str] = []
     payload: dict = {"constructed": None, "construction_error": None}
 
+    constructed = None
     if weight.classical:
         try:
-            payload["constructed"] = _witness_dict(classical_repeat_class(args.N))
+            constructed = classical_repeat_class(args.N)
         except ValueError as exc:
             payload["construction_error"] = str(exc)
     else:
         try:
-            payload["constructed"] = _witness_dict(construct_repeat_witness(args.N, weight))
+            constructed = construct_repeat_witness(args.N, weight)
         except WitnessConstructionError as exc:
             payload["construction_error"] = str(exc)
+    if constructed is not None:
+        payload["constructed"] = _witness_dict(constructed)
 
     try:
         scan = repeated_ht_scan(args.N, weight, "indexed")
@@ -237,7 +241,7 @@ def cmd_witness(args) -> ReportDocument:
             "repeated_class_count": len(scan),
             "repeated_classes": [_witness_dict(r) for r in scan[:50]],
         }
-        if payload["constructed"] is None:
+        if constructed is None:
             payload["agreement"] = None
             if not scan:
                 warnings.append("no repeated-weight class exists for this (N, W): exhaustive scan is empty")
@@ -247,10 +251,7 @@ def cmd_witness(args) -> ReportDocument:
                     "classes; the first scanned class is a valid witness"
                 )
         else:
-            constructed = tuple(payload["constructed"]["class"])
-            payload["agreement"] = int(
-                any(r.char_class.representative.entries == constructed for r in scan)
-            )
+            payload["agreement"] = int(scan_contains(constructed.char_class, "indexed"))
     except ValueError as exc:
         payload["scan"] = {"checked": 0, "reason": str(exc)}
         payload["agreement"] = None

@@ -35,7 +35,7 @@ either way.
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from math import comb, gcd
 from typing import Sequence
@@ -506,7 +506,8 @@ class FiberCount:
     projective_count: int
     trace: int | None
     strategy: str
-    elapsed: float
+    # wall time of the count; not part of the result, so equal counts compare equal
+    elapsed: float = dc_field(compare=False)
 
 
 def candidate_count(q: int, N: int) -> int:

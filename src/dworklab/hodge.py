@@ -23,8 +23,12 @@ does not: ``_bulk.repeat_scan`` evaluates the recipe for every class at once
 in numpy, and its one cached result serves ``repeated_ht_scan``,
 ``repeated_class_representatives`` and ``scan_contains``.  Each report's
 fields (sorted weights, least repeated value, multiplicity, set/indexed
-divergence) come from that result's arrays.  The per-class recipe is the
-scan's test oracle.
+divergence) come from that result's arrays.  Its classes are built by
+``characters._trusted_class``, the constructor ``class_of`` and
+``enumerate_classes`` share, without ``CharClass``'s per-class
+re-canonicalisation: the sweep's representatives are canonical, and
+``_bulk.class_weight_stats`` checks that once on its arrays.  The per-class
+recipe is the scan's test oracle.
 """
 
 from dataclasses import dataclass
@@ -38,6 +42,7 @@ from .characters import (
     CharClass,
     ResidueVector,
     WeightVector,
+    _trusted_class,
     class_of,
     classical_weight,
     coset_elements,
@@ -181,12 +186,14 @@ def _witness_from_class(cls: CharClass, semantics: Semantics) -> WitnessReport |
     if not repeats:
         return None
     value = repeats[0]
+    # semantics_divergent(cls) would run the recipe for both semantics again
+    other = hodge_data(cls, "indexed" if semantics == "set" else "set")
     return WitnessReport(
         char_class=cls,
         hodge=data,
         repeated_value=value,
         multiplicity=data.weights.count(value),
-        semantics_divergent=semantics_divergent(cls),
+        semantics_divergent=data.weights != other.weights,
     )
 
 
@@ -266,9 +273,11 @@ def repeated_ht_scan(
     """Every class whose weight multiset has a repeat, by exhaustive scan.
 
     Ordered by canonical representative.  Independent of the witness
-    constructions above: it enumerates the full table of zero-sum vectors,
+    constructions above: it sweeps every class of (N, W) once,
     and each report's fields come from the scan's arrays
-    (``_bulk.repeat_scan``), not from the per-class recipe.
+    (``_bulk.repeat_scan``), not from the per-class recipe.  The sweep's
+    representatives are canonical, so each class is built by
+    ``_trusted_class``.
     """
     weight = classical_weight(modulus) if weight is None else weight
     if weight.modulus != modulus:
@@ -282,7 +291,7 @@ def repeated_ht_scan(
     )
     return tuple(
         WitnessReport(
-            char_class=CharClass(weight, ResidueVector(modulus, rep)),
+            char_class=_trusted_class(weight, ResidueVector(modulus, rep)),
             hodge=HodgeData(modulus, dim, tuple(weights[:dim]), semantics),
             repeated_value=value,
             multiplicity=mult,

@@ -1,5 +1,6 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -293,3 +294,22 @@ class TestInterface:
         ):
             doc = run_json(argv, capsys)
             jsonschema.validate(doc, schema)
+
+
+# sha256 of the JSON stdout as printed when every class was built by CharClass's
+# checking constructor; the documents name the tool version, so a version bump
+# changes every hash
+PINNED_OUTPUTS = {
+    ("witness", "--N", "7"): "961b78adc121bd46e2c41bf2485ec71c3e4495607ff0b0625232c6bef895acb7",
+    ("witness", "--N", "7", "--W", "0,0,6,0,1,0,0"):
+        "dc40e91fe6c3c5eb6499a219cd736cc1c6f2c0aad48f3147d9bf4b9f5fbd8ac0",
+    ("classes", "--N", "6"): "ce351cb9f6469f4e092ea0b6d478a81f85dc56153c8977f4f9e96c237021060a",
+    ("hodge", "--N", "6"): "41e1bbd1f3c1415be1b5c071502f38260d8283e9e17275201f44f27bc5e58f7d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=" ".join)
+def test_output_bytes_pinned(argv, capsys):
+    code, out, err = run(list(argv), capsys)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]

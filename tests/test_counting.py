@@ -218,6 +218,11 @@ class TestNaiveCounter:
         fc = count_projective_naive(spec)
         assert fc.trace is None and fc.projective_count >= 0
 
+    def test_equal_counts_compare_equal(self):
+        # the wall time a count took is not part of its result
+        spec = FiberSpec(5, W5, 2, field_make(11, 1))
+        assert count_projective_naive(spec) == count_projective_naive(spec)
+
 
 class TestFastCounter:
     @pytest.mark.parametrize("q", [11, 31])
@@ -250,6 +255,10 @@ class TestFastCounter:
         assert err.value.required > 101 ** 2
         assert count_projective_fast(spec, budget=err.value.required).projective_count == \
             count_projective_naive(spec).projective_count
+
+    def test_equal_counts_compare_equal(self):
+        spec = FiberSpec(5, W5, 2, field_make(11, 1))
+        assert count_projective_fast(spec) == count_projective_fast(spec)
 
     def test_nth_power_table_spot_value(self):
         # r(0) = 1: only x = 0 has x^5 = 0

@@ -8,6 +8,7 @@ import pytest
 
 from dworklab import _bulk
 from dworklab.characters import (
+    CharClass,
     WeightVector,
     class_of,
     classical_weight,
@@ -298,6 +299,34 @@ class TestConstructedWitness:
             construct_repeat_witness(2, WeightVector(2, (0, 2)))
 
 
+class TestWitnessDivergenceFlag:
+    """The recipe's one pass per semantics gives semantics_divergent's answer."""
+
+    def test_constructed_witnesses(self):
+        reports = [classical_repeat_class(6)]
+        for n in (3, 4, 5):
+            for weights in _compositions(n):
+                w = WeightVector(n, weights)
+                if w.classical:
+                    continue
+                try:
+                    reports.append(construct_repeat_witness(n, w))
+                except WitnessConstructionError:
+                    pass
+        assert len(reports) > 100
+        for r in reports:
+            assert r.semantics_divergent == semantics_divergent(r.char_class), r
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    def test_every_class_up_to_n4(self, semantics):
+        for n in range(1, 5):
+            for weights in _compositions(n):
+                for c in enumerate_classes(n, WeightVector(n, weights)):
+                    r = _witness_from_class(c, semantics)
+                    if r is not None:
+                        assert r.semantics_divergent == semantics_divergent(c), (semantics, c)
+
+
 class TestScan:
     def test_quintic_classical_empty(self):
         assert repeated_ht_scan(5) == ()
@@ -476,3 +505,49 @@ class TestSweepOracle:
             code += top - 1
         assert int(code[0]) == top ** top - 1 == _bulk.encode_one((top - 1,) * top, top)
         assert _bulk.code_dtype(top + 1) == np.int64
+
+
+# every W at N <= 5, the classical weight at N = 6, 7, and the order-1 weight (7, 0, ..., 0)
+TRUSTED_CASES = [(n, w) for n in range(1, 6) for w in _compositions(n)] + [
+    (6, (1,) * 6),
+    (7, (1,) * 7),
+    (7, (7,) + (0,) * 6),
+]
+
+
+class TestTrustedConstruction:
+    """Classes built from the sweep skip CharClass's own canonicality check;
+    building the same classes with that check must give equal classes."""
+
+    def test_enumerated_classes(self):
+        for n, weights in TRUSTED_CASES:
+            w = WeightVector(n, weights)
+            for c in enumerate_classes(n, w):
+                assert c == CharClass(w, c.representative), (weights, c)
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    def test_scan_reports(self, semantics):
+        for n, weights in TRUSTED_CASES:
+            w = WeightVector(n, weights)
+            for r in repeated_ht_scan(n, w, semantics):
+                assert r.char_class == CharClass(w, r.char_class.representative), (weights, r)
+
+
+class TestSweepCheck:
+    """The array check behind the trusted construction (``_bulk._check_canonical``);
+    every sweep runs it, so the tests above cover arrays it accepts."""
+
+    def test_duplicated_code_raises(self):
+        codes, _, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        with pytest.raises(RuntimeError, match="strictly increasing"):
+            _bulk._check_canonical(np.insert(codes, 7, codes[7]), np.insert(member, 7, member[:, 7], axis=1))
+
+    def test_columns_out_of_order_raise(self):
+        codes, _, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        swap = np.arange(len(codes))
+        swap[[7, 8]] = [8, 7]
+        with pytest.raises(RuntimeError, match="strictly increasing"):
+            _bulk._check_canonical(codes[swap], member[:, swap])
+        # member columns moved without their codes: class 7's members sit under class 8's code
+        with pytest.raises(RuntimeError, match="least member"):
+            _bulk._check_canonical(codes, member[:, swap])
