@@ -11,11 +11,14 @@ the middle degree is one Tate class per even degree, so
 
 and the point count determines the middle trace a_q exactly.
 
-Two counters are provided and must agree:
+Two counters are provided and must agree.  Both read the same field
+tables: logs over a generator, with Zech logs for addition
+(`FiniteField.log_tables`), each of size q; a test checks them on every
+pair of elements against the polynomial arithmetic the fields are built on.
 
 * ``count_projective_naive`` walks every normalized projective point (first
-  nonzero coordinate scaled to 1) and evaluates the equation through
-  precomputed power tables.  It works for any weight and any small field,
+  nonzero coordinate scaled to 1) and evaluates the equation in logs, one
+  code path for every field.  It works for any weight and any small field,
   prime or extension, and is the reference.
 * ``count_projective_fast`` (classical weight, any GF(p^m)) splits off the
   points with a zero coordinate, which satisfy the diagonal equation
@@ -23,9 +26,8 @@ Two counters are provided and must agree:
   table r(a) = #{x != 0 : x^N = a}; on the totally nonzero torus it
   normalizes the last coordinate to 1 and resolves the first coordinate
   through the table M[c][a] = #{x != 0 : x^N - c x = a}, built once in
-  O(q^2).  It works on logs over a generator, with Zech logs for addition,
-  so every table it builds besides M has size q.  Total work O(q^(N-2))
-  instead of O(q^(N-1)).
+  O(q^2), the only table of either counter larger than q.  Total work
+  O(q^(N-2)) instead of O(q^(N-1)).
 
 ``tower_counts`` uses the stratified counter for the classical weight and
 the naive one otherwise.  Both counters split their outer loop into ranges;
@@ -68,7 +70,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 2_000_000_000  # evaluated candidates per invocation
-_MAX_TABLE_Q = 1 << 20  # exp/log tables refuse beyond this
+_MAX_TABLE_Q = 1 << 22  # exp/log tables refuse beyond this
+_BUILD_BLOCK = 1 << 16  # exp entries computed per vector step
 
 
 class SmoothnessError(ValueError):
@@ -200,6 +203,8 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     m = len(coeffs) - 1
     if m == 1:
         return True
+    if coeffs[0] == 0:  # x divides f
+        return False
     mod = list(coeffs)
     checkpoints = {m // ell for ell in _prime_factors(m)}
     h = [0, 1]
@@ -217,10 +222,15 @@ class FiniteField:
     degree first, reduced modulo the stored monic irreducible.  The modulus
     is the lexicographically least monic irreducible of degree m (constant
     coefficient compared first), so two builds of the same field agree.
+
+    Scalar arithmetic on prime fields is plain integer arithmetic.  Every
+    other field computation goes through one representation: logs over the
+    generator, with Zech logs for addition (`log_tables`).  Both counters
+    read these arrays; extension fields build them on construction, prime
+    fields on first use.
     """
 
-    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_add_table", "_mul_table",
-                 "_log_tables", "_generator")
+    __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_generator")
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -229,16 +239,8 @@ class FiniteField:
         self.modulus = modulus
         self._exp = None
         self._log = None
-        self._add_table = None
-        self._mul_table = None
-        self._log_tables = None
+        self._zech = None
         self._generator = None
-        if m > 1:
-            if self.q > _MAX_TABLE_Q:
-                raise CapabilityError(
-                    f"extension field of order {self.q} exceeds the table limit {_MAX_TABLE_Q}"
-                )
-            self._build_tables()
         self._spot_check()
 
     # -- encoding helpers
@@ -260,20 +262,47 @@ class FiniteField:
         prod = _poly_mulmod(self._digits(a), self._digits(b), list(self.modulus), self.p)
         return self._undigits(prod)
 
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, log, zech), built on first use; see `log_tables`."""
+        if self._exp is None:
+            self._build_tables()
+        return self._exp, self._log, self._zech
+
     def _build_tables(self):
-        q = self.q
+        """exp, log and Zech-log arrays of size q over the generator g.
+
+        Multiplication by g^k is F_p-linear on digit vectors; its matrix G_k
+        has the digits of x^j g^k in row j.  So exp doubles: g^(k+i) is
+        exp[i] times G_k for i < k, and G_2k = G_k^2, about log2(q) vector
+        steps in all.  exp[q-1] = 0 is the antilog of the log of 0.
+        """
+        q, p, m = self.q, self.p, self.m
+        if q > _MAX_TABLE_Q:
+            raise CapabilityError(f"field of order {q} exceeds the table limit {_MAX_TABLE_Q}")
+        n = q - 1
+        place = p ** np.arange(m, dtype=np.int64)
         g = self.generator()
-        exp = np.zeros(q - 1, dtype=np.int64)
-        acc = 1
-        for i in range(q - 1):
-            exp[i] = acc
-            acc = acc * g % q if self.m == 1 else self._raw_mul(acc, g)
-        if acc != 1:
+        step = np.array([self._digits(self._raw_mul(int(x), g)) for x in place])
+        exp = np.zeros(q, dtype=np.int64)
+        exp[0] = 1
+        k = 1
+        while k < n:
+            for a in range(k, min(2 * k, n), _BUILD_BLOCK):
+                b = min(a + _BUILD_BLOCK, 2 * k, n)
+                digits = exp[a - k : b - k, None] // place % p
+                exp[a:b] = ((digits @ step) % p) @ place
+            step = (step @ step) % p
+            k *= 2
+        # exp must hit every nonzero code exactly once
+        if not np.array_equal(np.bincount(exp[:n], minlength=q), np.arange(q) > 0):
             raise RuntimeError("generator power table failed to close")
-        log = np.zeros(q, dtype=np.int64)
-        log[exp] = np.arange(q - 1)
-        self._exp = exp
-        self._log = log
+        log = np.empty(q, dtype=np.int64)
+        log[exp] = np.arange(q)
+        # 1 + x adds one to the constant coefficient, the lowest base-p digit
+        zech = log[exp - exp % p + (exp % p + 1) % p]
+        for table in (exp, log, zech):
+            table.flags.writeable = False
+        self._exp, self._log, self._zech = exp, log, zech
 
     def _raw_pow(self, a: int, e: int) -> int:
         result, base = 1, a
@@ -321,7 +350,8 @@ class FiniteField:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[(self._log[a] + self._log[b]) % (self.q - 1)])
+        exp, log, _ = self._tables()
+        return int(exp[(log[a] + log[b]) % (self.q - 1)])
 
     def pow(self, a: int, e: int) -> int:
         if e == 0:
@@ -330,14 +360,16 @@ class FiniteField:
             return 0
         if self.m == 1:
             return pow(a, e, self.p)
-        return int(self._exp[(self._log[a] * e) % (self.q - 1)])
+        exp, log, _ = self._tables()
+        return int(exp[(log[a] * e) % (self.q - 1)])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         if self.m == 1:
             return pow(a, self.p - 2, self.p)
-        return int(self._exp[(-self._log[a]) % (self.q - 1)])
+        exp, log, _ = self._tables()
+        return int(exp[(-log[a]) % (self.q - 1)])
 
     def generator(self) -> int:
         """The least multiplicative generator by code, the base of the exp/log tables.
@@ -361,73 +393,16 @@ class FiniteField:
         Logs run over 0..q-2, and q-1 stands for the log of 0: log[a] is the
         log of the element with code a, and zech[i] = log(1 + g^i), with
         zech[q-1] = log 1 = 0.  Then log(g^a + g^b) = a + zech[b - a], so
-        addition becomes index arithmetic.  Prime fields build these on first
-        use; they are O(q), unlike the q x q tables.
+        addition becomes index arithmetic (`_log_add`).  This is the one
+        representation every vectorised field computation uses; the arrays
+        are read-only and refused past `_MAX_TABLE_Q`.
         """
-        if self._log_tables is None:
-            q, p = self.q, self.p
-            if q > _MAX_TABLE_Q:
-                raise CapabilityError(f"field of order {q} exceeds the table limit {_MAX_TABLE_Q}")
-            if self._exp is None:
-                self._build_tables()
-            antilog = np.append(self._exp, 0)  # g^i, and 0 at index q-1
-            log = self._log.copy()
-            log[0] = q - 1
-            # 1 + x adds one to the constant coefficient, the lowest base-p digit
-            zech = log[antilog - antilog % p + (antilog % p + 1) % p]
-            log.flags.writeable = zech.flags.writeable = False
-            self._log_tables = (log, zech)
-        return self._log_tables
+        return self._tables()[1:]
 
     def pow_table(self, e: int) -> np.ndarray:
-        """t[x] = x^e for all field elements, as int64."""
-        if self.m == 1:
-            xs = np.arange(self.q, dtype=np.int64)
-            if e == 0:
-                return np.ones(self.q, dtype=np.int64)
-            out = np.ones(self.q, dtype=np.int64)
-            base = xs.copy()
-            ee = e
-            while ee:
-                if ee & 1:
-                    out = out * base % self.p
-                base = base * base % self.p
-                ee >>= 1
-            if e > 0:
-                out[0] = 0
-            return out
-        out = np.zeros(self.q, dtype=np.int64)
-        if e == 0:
-            out[:] = 1
-            return out
-        nz = np.arange(1, self.q)
-        out[nz] = self._exp[(self._log[nz] * e) % (self.q - 1)]
-        return out
-
-    def add_table(self) -> np.ndarray:
-        """q x q addition table (extension fields only; prime fields add directly)."""
-        if self._add_table is None:
-            q, p, m = self.q, self.p, self.m
-            xs = np.arange(q, dtype=np.int64)
-            table = np.zeros((q, q), dtype=np.int32)
-            scale = 1
-            for _ in range(m):
-                d = (xs // scale) % p
-                table += (((d[:, None] + d[None, :]) % p) * scale).astype(np.int32)
-                scale *= p
-            self._add_table = table
-        return self._add_table
-
-    def mul_table(self) -> np.ndarray:
-        """q x q multiplication table (extension fields only)."""
-        if self._mul_table is None:
-            q = self.q
-            table = np.zeros((q, q), dtype=np.int32)
-            nz = np.arange(1, q)
-            logs = self._log[nz]
-            table[1:, 1:] = self._exp[(logs[:, None] + logs[None, :]) % (q - 1)]
-            self._mul_table = table
-        return self._mul_table
+        """t[x] = x^e for every code x (e >= 0, with 0^0 = 1), as int64."""
+        exp, log, _ = self._tables()
+        return exp[_log_power(log, e, self.q - 1)]
 
     def __eq__(self, other):
         return (
@@ -457,10 +432,10 @@ def field_make(p: int, m: int) -> FiniteField:
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
-    from itertools import product as iproduct
-
-    for tail in iproduct(range(p), repeat=m):
-        coeffs = tuple(tail) + (1,)
+    # tails generated one at a time, c_0 the most significant base-p digit of
+    # i: itertools.product would first copy range(p), p entries
+    for i in range(p ** m):
+        coeffs = tuple(i // p ** (m - 1 - j) % p for j in range(m)) + (1,)
         if _is_irreducible(coeffs, p):
             return FiniteField(p, m, coeffs)
     raise RuntimeError("no irreducible polynomial found")  # unreachable
@@ -532,9 +507,46 @@ def weil_bound_ok(trace: int, q: int, N: int, weight: WeightVector | None = None
 
 
 # ---------------------------------------------------------------------------
+# arithmetic on logs over the generator g, elementwise; n = q-1 is the log of 0
+# (see FiniteField.log_tables)
+
+
+def _log_add(a, b, zech: np.ndarray, n: int):
+    """log(x + y) from a = log x and b = log y."""
+    d = np.where(b == n, n, (b - a) % n)
+    z = zech[d]
+    out = np.where(z == n, n, (a + z) % n)
+    return np.where(a == n, b, out)
+
+
+def _log_mul(a, b, n: int):
+    """log(x y) from a = log x and b = log y."""
+    return np.where((a == n) | (b == n), n, (a + b) % n)
+
+
+def _log_power(log: np.ndarray, e: int, n: int) -> np.ndarray:
+    """log(x^e) for every code x, from the log table; e >= 0, with 0^0 = 1."""
+    out = log * e % n
+    if e:
+        out[0] = n
+    return out
+
+
+def _fold(n: int) -> np.ndarray:
+    """f[k] = k mod n for k < 2n and n for 2n <= k < 3n, as int32.
+
+    It reduces a sum of two logs once the log of 0 in one of them has been
+    moved to 2n, so that the sum lands past 2n whenever that factor is 0.
+    """
+    f = np.arange(3 * n, dtype=np.int32) % n
+    f[2 * n :] = n
+    return f
+
+
+# ---------------------------------------------------------------------------
 # the naive counter
 
-_INNER_CAP = 1 << 21  # rows of the reusable inner block
+_INNER_CAP = 1 << 21  # rows of the inner block, unless one coordinate alone exceeds it
 
 
 def _split_range(total: int, workers: int) -> list[tuple[int, int]]:
@@ -547,100 +559,85 @@ def _split_range(total: int, workers: int) -> list[tuple[int, int]]:
 def _count_stratum(spec: FiberSpec, lead: int, workers: int) -> int:
     """Candidates with leading-one coordinate `lead` (earlier coordinates zero).
 
-    The last `inner` free coordinates are swept by reusable vector blocks
-    (power sums and monomial values built once); the remaining outer
-    coordinates are iterated, optionally split across worker threads.
+    One code path for every GF(p^m), on logs over the generator: power sums
+    go through the Zech table, and the monomial is a weighted sum of logs,
+    dead (the log of 0) once a coordinate with positive weight vanishes.  The
+    last `inner` free coordinates form a block whose sums and monomials are
+    built once and reduced to their distinct pairs with multiplicities; the
+    block holds at least one coordinate and grows while it stays within
+    `_INNER_CAP` rows.  The remaining outer coordinates are iterated,
+    optionally split across worker threads, each outer tuple with work
+    proportional to the block: one vector pass over its pairs, or, when the
+    outer tuple kills the monomial, one read of a histogram of its sums.
     """
     field = spec.field
-    q, N = field.q, spec.N
+    q, N, n = field.q, spec.N, field.q - 1
     weights = spec.weight.entries
-    prime = field.m == 1
-    pow_n = field.pow_table(N)
-    pow_w = {w: field.pow_table(w) for w in set(weights)}
-    ct = (N % q) * spec.t % q if prime else field.mul(N % field.p, spec.t)
-    # a zero coordinate with positive weight kills the monomial
-    mono_dead = ct == 0 or any(weights[i] > 0 for i in range(lead))
+    log, zech = field.log_tables()
+    zech = zech.astype(np.int32)
+    pow_n = _log_power(log, N, n).astype(np.int32)
+    pow_w = {w: _log_power(log, w, n).astype(np.int32) for w in set(weights)}
+
+    def grid(positions, sum0: int, mono0: int) -> tuple[np.ndarray, np.ndarray]:
+        """Logs of sum0 + sum x_i^N and of mono0 prod x_i^(w_i), over all tuples at `positions`."""
+        s = np.array([sum0], dtype=np.int32)
+        m = np.array([mono0], dtype=np.int32)
+        for pos in positions:
+            s = _log_add(s[:, None], pow_n, zech, n).ravel()
+            m = _log_mul(m[:, None], pow_w[weights[pos]], n).ravel()
+        return s, m
 
     free = N - 1 - lead
-    inner = 0
+    inner = min(free, 1)
     while inner < free and q ** (inner + 1) <= _INNER_CAP:
         inner += 1
-    inner_count = q ** inner
-    outer_count = q ** (free - inner)
-    inner_pos = list(range(N - inner, N))
-    outer_pos = list(range(lead + 1, N - inner))
+    sum_in, mono_in = grid(range(N - inner, N), n, 0)
+    # outer tuples carry the leading 1 (1^N in the sum) and the factor N t of
+    # the monomial, which a zero coordinate with positive weight kills
+    mono0 = int(log[field.mul(N % field.p, spec.t)])
+    if any(weights[i] > 0 for i in range(lead)):
+        mono0 = n
+    sum_out, mono_out = grid(range(lead + 1, N - inner), 0, mono0)
 
-    idx = np.arange(inner_count, dtype=np.int64)
-    if prime:
-        sum_inner = np.zeros(inner_count, dtype=np.int64)
-        mono_inner = None if mono_dead else np.full(inner_count, ct, dtype=np.int64)
-        for r, pos in enumerate(inner_pos):
-            col = (idx // q ** (inner - 1 - r)) % q
-            sum_inner += pow_n[col]
-            if mono_inner is not None and weights[pos]:
-                mono_inner = mono_inner * pow_w[weights[pos]][col] % q
-    else:
-        add_tab = field.add_table()
-        mul_tab = field.mul_table()
-        exp, log = field._exp, field._log
-        sum_inner = np.zeros(inner_count, dtype=np.int32)
-        for r, pos in enumerate(inner_pos):
-            col = (idx // q ** (inner - 1 - r)) % q
-            sum_inner = add_tab[sum_inner, pow_n[col]]
-        if mono_dead:
-            mono_inner = None
-        else:
-            alive = np.ones(inner_count, dtype=bool)
-            lsum = np.full(inner_count, log[ct], dtype=np.int64)
-            for r, pos in enumerate(inner_pos):
-                if weights[pos]:
-                    col = (idx // q ** (inner - 1 - r)) % q
-                    alive &= col != 0
-                    lsum += weights[pos] * log[col]  # log[0] is 0, masked by alive
-            mono_inner = np.where(alive, exp[lsum % (q - 1)], 0).astype(np.int32)
-
-    def outer_coords(o: int) -> list[int]:
-        return [(o // q ** (len(outer_pos) - 1 - r)) % q for r in range(len(outer_pos))]
+    # dead[l]: block tuples whose sum is -s, where l = log s
+    dead = np.bincount(sum_in, minlength=q)[_log_mul(np.arange(q), int(log[field.neg(1)]), n)]
+    pairs = sum_in.astype(np.int64)
+    pairs *= q
+    pairs += mono_in
+    pairs, mult = np.unique(pairs, return_counts=True)
+    sum_in, mono_in = (pairs // q).astype(np.int32), (pairs % q).astype(np.int32)
+    # move the log of 0 in the block to 2n, so that a shifted log of 0 lands
+    # past 2n in the tables below: fold reduces logs, and one_plus[k] is
+    # log(1 + g^k), or log 1 = 0 from 2n on
+    sum_in[sum_in == n] = 2 * n
+    mono_in[mono_in == n] = 2 * n
+    fold = _fold(n)
+    one_plus = np.concatenate([zech[:n], zech[:n], np.zeros(n, dtype=np.int32)])
 
     def run(start: int, stop: int) -> int:
+        idx = np.empty(len(mult), dtype=np.int32)
+        lhs = np.empty_like(idx)
+        rhs = np.empty_like(idx)
         hits = 0
-        for o in range(start, stop):
-            coords = outer_coords(o)
-            if prime:
-                s = 1  # the leading coordinate contributes 1^N
-                for c in coords:
-                    s += int(pow_n[c])
-                mono = None
-                if mono_inner is not None:
-                    mono = 1
-                    for c, pos in zip(coords, outer_pos):
-                        if weights[pos]:
-                            mono = mono * int(pow_w[weights[pos]][c]) % q
-                lhs = (sum_inner + s) % q
-                if mono is None or mono == 0:
-                    hits += int(np.count_nonzero(lhs == 0))
-                else:
-                    hits += int(np.count_nonzero(lhs == mono_inner * mono % q))
+        for ls, lm in zip(sum_out[start:stop].tolist(), mono_out[start:stop].tolist()):
+            if lm == n:
+                hits += int(dead[ls])
+                continue
+            # A + s = m B for block sum A and monomial B, outer sum s and
+            # monomial m != 0: compare log(1 + A/s) with log(m B/s), or
+            # log A with log(m B) when s = 0
+            if ls == n:
+                table, shift, ratio = fold, 0, lm
             else:
-                s = 1
-                for c in coords:
-                    s = field.add(s, int(pow_n[c]))
-                lhs = add_tab[s][sum_inner]
-                mono = None
-                if mono_inner is not None:
-                    mono = 1
-                    for c, pos in zip(coords, outer_pos):
-                        if weights[pos]:
-                            mono = field.mul(mono, field.pow(c, weights[pos]))
-                if mono is None or mono == 0:
-                    hits += int(np.count_nonzero(lhs == 0))
-                else:
-                    hits += int(np.count_nonzero(lhs == mul_tab[mono][mono_inner]))
+                table, shift, ratio = one_plus, -ls % n, (lm - ls) % n
+            np.take(table, np.add(sum_in, shift, out=idx), out=lhs)
+            np.take(fold, np.add(mono_in, ratio, out=idx), out=rhs)
+            hits += int(mult[lhs == rhs].sum())
         return hits
 
-    ranges = _split_range(outer_count, workers)
+    ranges = _split_range(len(sum_out), workers)
     if len(ranges) == 1:
-        return run(0, outer_count)
+        return run(0, len(sum_out))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(lambda r: run(r[0], r[1]), ranges))
 
@@ -652,8 +649,8 @@ def count_projective_naive(
 
     Every point has a unique representative whose first nonzero coordinate
     is 1; the stratum with leading coordinate j contributes q^(N-1-j)
-    candidates.  The equation is evaluated for every candidate through
-    precomputed power tables.
+    candidates.  The equation is evaluated for every candidate in logs over
+    the generator (`_count_stratum`).
     """
     q, N = spec.field.q, spec.N
     required = candidate_count(q, N)
@@ -688,14 +685,6 @@ def _fast_work(q: int, N: int) -> int:
     (q-1)/gcd(N, q-1) nonzero N-th powers, then takes one q-term dot product.
     """
     return (q - 1) ** (N - 2) + q * q + max(N - 3, 0) * q * ((q - 1) // gcd(N, q - 1)) + q
-
-
-def _log_add(a, b, zech: np.ndarray, n: int):
-    """log(x + y) from a = log x and b = log y, elementwise; n = q-1 is the log of 0."""
-    d = np.where(b == n, n, (b - a) % n)
-    z = zech[d]
-    out = np.where(z == n, n, (a + z) % n)
-    return np.where(a == n, b, out)
 
 
 def _zero_stratum(field: FiniteField, N: int) -> int:
@@ -755,7 +744,7 @@ def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
     # entries become 2n, which `fold` sends to column n
     zech2 = np.tile(zech[:n], 2)
     zech2[zech2 == n] = 2 * n
-    fold = np.concatenate([np.arange(2 * n) % n, np.full(n, n)])
+    fold = _fold(n)
     block = max(1, _M_BLOCK // q)
     for k0 in range(0, rows, block):
         k = np.arange(k0, min(k0 + block, rows), dtype=np.int64)

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -151,6 +153,31 @@ class TestCount:
         )
         assert code == 4
         assert "budget" in err
+
+    def test_huge_prime_refused_by_budget(self):
+        # the budget refusal comes before any allocation of size q; run apart
+        # under a 1 GiB address-space cap, so that a regression fails here
+        # instead of exhausting the machine's memory
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dworklab.cli import main; "
+             "sys.exit(main(['count', '--N', '5', '--p', '1000000007', '--t', '2']))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "budget" in proc.stderr
+
+    def test_prime_past_two_pow_20(self, capsys):
+        # x^2 + y^2 = 4xy has 1 + (3 | p) points: the naive count builds its
+        # field tables for q = 1048583 > 2^20
+        p = 1048583
+        doc = run_json(["count", "--N", "2", "--p", str(p), "--t", "2"], capsys)
+        legendre = 1 if pow(3, (p - 1) // 2, p) == 1 else -1
+        assert doc["payload"]["fibers"][0]["projective_count"] == 1 + legendre == 2
 
     def test_n9_fast_count_exits_0(self, capsys):
         doc = run_json(["count", "--N", "9", "--p", "2", "--t", "0", "--strategy", "fast"], capsys)

@@ -1,11 +1,14 @@
 """Finite fields, fiber counts, traces, bounds, group action, towers."""
 
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
+from dworklab import counting
 from dworklab.characters import WeightVector, classical_weight
 from dworklab.counting import (
     BudgetError,
@@ -25,6 +28,7 @@ from dworklab.counting import (
     tower_counts,
     weil_bound_ok,
 )
+from dworklab.counting import _poly_mulmod
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -140,6 +144,70 @@ class TestFieldMake:
         assert f.log_tables()[0].tolist() == [1, 0]
 
 
+def _digit_matrix(field):
+    """(digits, place): row x holds the base-p digits of code x, and digits @ place = codes."""
+    place = field.p ** np.arange(field.m, dtype=np.int64)
+    return np.arange(field.q, dtype=np.int64)[:, None] // place % field.p, place
+
+
+def _poly_products(field, a_codes):
+    """Codes of a * b for a in a_codes and every b, by the polynomial arithmetic.
+
+    a * b = sum_ij a_i b_j (x^i x^j mod f); `_poly_mulmod` gives each basis
+    product, and the sum runs vectorised over all pairs.
+    """
+    p, m = field.p, field.m
+    basis = np.zeros((m, m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            prod = _poly_mulmod([0] * i + [1], [0] * j + [1], list(field.modulus), p)
+            basis[i, j, : len(prod)] = prod
+    digits, place = _digit_matrix(field)
+    left = np.tensordot(digits[a_codes], basis, axes=(1, 0))  # [a, j, k]
+    return (np.einsum("bj,ajk->abk", digits, left) % p) @ place
+
+
+def _digit_sums(field, a_codes):
+    """Codes of a + b for a in a_codes and every b, by digit-wise addition mod p."""
+    digits, place = _digit_matrix(field)
+    return ((digits[a_codes][:, None, :] + digits[None, :, :]) % field.p) @ place
+
+
+class TestFieldTables:
+    """The exp/log/Zech arrays both counters read, against the polynomial arithmetic."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_every_pair_up_to_2_pow_10(self, m):
+        primes = [p for p in range(2, 1025) if is_prime(p) and p ** m <= 1 << 10]
+        for p in primes:
+            f = field_make(p, m)
+            q, n = f.q, f.q - 1
+            exp, log, zech = f._tables()
+            assert sorted(exp[:n].tolist()) == list(range(1, q)), f
+            assert exp[n] == 0 and log[0] == n, f
+            assert (log[exp] == np.arange(q)).all(), f
+            assert (f.log_tables()[0] == log).all() and (f.log_tables()[1] == zech).all()
+            rows = max(1, (1 << 16) // q)
+            for a0 in range(0, q, rows):
+                a = np.arange(a0, min(a0 + rows, q))
+                la, lb = log[a][:, None], log[None, :]
+                assert (exp[counting._log_mul(la, lb, n)] == _poly_products(f, a)).all(), f
+                assert (counting._log_add(la, lb, zech, n) == log[_digit_sums(f, a)]).all(), f
+
+    def test_pow_table_matches_scalar_pow(self):
+        for p, m in [(2, 1), (7, 1), (2, 4), (3, 3)]:
+            f = field_make(p, m)
+            for e in (0, 1, 2, 5, f.q - 1, f.q):
+                assert f.pow_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], (f, e)
+
+    def test_prime_field_scalars_build_no_table(self):
+        f = counting.FiniteField(1_000_000_007, 1, (0, 1))
+        FiberSpec(5, W5, 2, f)
+        assert f._exp is None
+        with pytest.raises(CapabilityError):
+            f.log_tables()
+
+
 class TestFiberSpec:
     def test_all_roots_rejected_when_q_splits(self):
         f = field_make(11, 1)
@@ -222,6 +290,42 @@ class TestNaiveCounter:
         # the wall time a count took is not part of its result
         spec = FiberSpec(5, W5, 2, field_make(11, 1))
         assert count_projective_naive(spec) == count_projective_naive(spec)
+
+
+class TestNaiveOuterLoop:
+    """A small block forces the outer loop: non-classical weights, two or more outer coordinates."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("entries", [(0, 1, 2), (2, 2, 0, 0), (0, 1, 1, 2)])
+    def test_small_block_against_brute_force(self, monkeypatch, entries, workers):
+        monkeypatch.setattr(counting, "_INNER_CAP", 1)
+        n = len(entries)
+        weight = WeightVector(n, entries)
+        for p, m in [(7, 1), (2, 3), (3, 2), (5, 2)]:
+            field = field_make(p, m)
+            if gcd(field.q, n) != 1:
+                continue
+            smooth = _smooth_params(field, n)
+            for t in (smooth[0], smooth[1], smooth[-1]):  # t = 0, and live monomials
+                spec = FiberSpec(n, weight, t, field)
+                assert count_projective_naive(spec, workers=workers).projective_count == \
+                    brute_count(spec), (field, t)
+
+
+class TestNaiveMemory:
+    """The naive counter allocates no q x q table; with one, GF(5^5) needs over 200 MiB."""
+
+    @pytest.mark.parametrize("p,m,limit_mib", [(5, 5, 32), (2, 10, 53)])
+    def test_peak_under_tracemalloc(self, p, m, limit_mib):
+        spec = FiberSpec(3, classical_weight(3), 2, field_make(p, m))
+        tracemalloc.start()
+        try:
+            count = count_projective_naive(spec).projective_count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20, peak / 2**20
+        assert count == count_projective_fast(spec).projective_count
 
 
 class TestFastCounter:
