@@ -25,9 +25,12 @@ pair of elements against the polynomial arithmetic the fields are built on.
   sum x_i^N = 0 and are counted by additive convolutions over (Z/p)^m of the
   table r(a) = #{x != 0 : x^N = a}; on the totally nonzero torus it
   normalizes the last coordinate to 1 and resolves the first coordinate
-  through the table M[c][a] = #{x != 0 : x^N - c x = a}, built once in
-  O(q^2), the only table of either counter larger than q.  Total work
-  O(q^(N-2)) instead of O(q^(N-1)).
+  through the table M[c][a] = #{x != 0 : x^N - c x = a}, the only table of
+  either counter larger than q.  The roots of unity mu_d in F_q, d =
+  gcd(N, q-1), act on the torus without changing a term, so both the sweep
+  and M are quotiented by them: with r = (q-1)/d, M has r rows of q
+  entries and the sweep visits r^(N-2) tuples, each standing for d^(N-2).
+  Total work O(r^(N-2) + r q) instead of O(q^(N-1)).
 
 ``tower_counts`` uses the stratified counter for the classical weight and
 the naive one otherwise.  Both counters split their outer loop into ranges;
@@ -377,11 +380,16 @@ class FiniteField:
         For prime q > 2 this is the least primitive root; for F_2 it is 1.
         """
         if self._generator is None:
-            factors = _prime_factors(self.q - 1)
-            # g = 1 passes only for q = 2, where q - 1 has no prime factor
+            q, p = self.q, self.p
+            exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
+            if self.m == 1:
+                # g = 1 passes only for q = 2, where q - 1 has no prime factor
+                candidates, power = range(1, q), lambda g, e: pow(g, e, p)
+            else:
+                # codes below p lie in F_p, whose orders divide p - 1 < q - 1
+                candidates, power = range(p, q), self._raw_pow
             self._generator = next(
-                g for g in range(1, self.q)
-                if all(self._raw_pow(g, (self.q - 1) // r) != 1 for r in factors)
+                g for g in candidates if all(power(g, e) != 1 for e in exponents)
             )
         return self._generator
 
@@ -680,11 +688,13 @@ _M_BLOCK = 1 << 18  # entries of the M table built per vector pass
 def _fast_work(q: int, N: int) -> int:
     """Work estimate of `count_projective_fast` over GF(q), checked against the budget.
 
-    The torus sweep visits (q-1)^(N-2) tuples, the M table has q^2 entries,
-    and the zero stratum convolves q-element arrays N-3 times over the
-    (q-1)/gcd(N, q-1) nonzero N-th powers, then takes one q-term dot product.
+    With r = (q-1)/gcd(N, q-1), the torus sweep visits r^(N-2) tuples and
+    the M table has r rows of q entries; the zero stratum convolves
+    q-element arrays N-3 times over the r nonzero N-th powers, then takes
+    one q-term dot product.
     """
-    return (q - 1) ** (N - 2) + q * q + max(N - 3, 0) * q * ((q - 1) // gcd(N, q - 1)) + q
+    r = (q - 1) // gcd(N, q - 1)
+    return r ** (N - 2) + r * q + max(N - 3, 0) * q * r + q
 
 
 def _zero_stratum(field: FiniteField, N: int) -> int:
@@ -724,11 +734,14 @@ def _zero_stratum(field: FiniteField, N: int) -> int:
 
 
 def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
-    """M[k][b] = #{x != 0 : x^N - c x = g^b}, c = g^k, as int32 of shape (q-1, q).
+    """M[k][b] = #{x != 0 : x^N - c x = g^b}, c = g^k, as int32 of shape ((q-1)/d, q).
 
-    Column q-1 counts x^N - c x = 0.  With c_zero the one row is c = 0.
-    Rows are built in blocks: for x = g^j, x^N - c x = g^(Nj) (1 + g^(k + j + h - Nj))
-    with g^h = -1, one Zech lookup per entry.
+    Here d = gcd(N, q-1).  Rows repeat with period (q-1)/d: for a d-th root
+    of unity z, x -> x/z turns x^N - z c x into x^N - c x, so only the first
+    (q-1)/d rows are built.  Column q-1 counts x^N - c x = 0.  With c_zero
+    the one row is c = 0.  Rows are built in blocks: for x = g^j,
+    x^N - c x = g^(Nj) (1 + g^(k + j + h - Nj)) with g^h = -1, one Zech
+    lookup per entry.
     """
     log, zech = field.log_tables()
     q, n = field.q, field.q - 1
@@ -736,7 +749,7 @@ def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
     power = N * j % n
     if c_zero:
         return np.bincount(power, minlength=q).astype(np.int32)[None, :]
-    rows = n
+    rows = n // gcd(N, n)
     table = np.empty((rows, q), dtype=np.int32)
     h = int(log[field.neg(1)])
     shift = (j + h - power) % n
@@ -765,8 +778,11 @@ def count_projective_fast(
     coordinate to 1, run over the logs l_i of the N-2 middle coordinates y_i,
     and read off the number of first coordinates x from
     M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N).
-    The last middle coordinates form a fixed grid swept by vector passes; a
-    short Python loop runs over the others.
+    The d = gcd(N, q-1) roots of unity z in mu_d quotient the sweep: y -> z y
+    keeps y^N and multiplies c by z, which leaves M's row unchanged
+    (`_m_table`).  So each l_i runs over 0..(q-1)/d - 1 only, and the torus
+    sum is multiplied by d^(N-2).  The last middle coordinates form a fixed
+    grid swept by vector passes; a short Python loop runs over the others.
     """
     if not spec.weight.classical:
         raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
@@ -779,13 +795,16 @@ def count_projective_fast(
     started = time.perf_counter()
     log, zech = field.log_tables()
     n = q - 1
+    d = gcd(N, n)
+    r = n // d
     ct = field.mul(N % field.p, spec.t)
-    # M rows are logs of c = ct * prod y_i; when t = 0 the only row is c = 0
-    rows = 1 if ct == 0 else n
+    # M rows are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
+    rows = 1 if ct == 0 else r
     m_flat = _m_table(field, N, ct == 0).ravel()
 
     h = int(log[field.neg(1)])
-    steps = np.arange(n, dtype=np.int64)
+    # each log l_i < r stands for its d representatives l_i + k r, which share y^N
+    steps = np.arange(r, dtype=np.int64)
     powers = N * steps % n
 
     def grid(k: int, l0: int, s0: int) -> tuple[np.ndarray, np.ndarray]:
@@ -799,14 +818,14 @@ def count_projective_fast(
 
     middle = N - 2
     inner = min(middle, 1)
-    while inner < middle and n ** inner < _GRID_MIN:
+    while inner < middle and r ** inner < _GRID_MIN:
         inner += 1
-    if inner > 1 and n ** inner > _GRID_MAX:
+    if inner > 1 and r ** inner > _GRID_MAX:
         inner -= 1
     lin, neg_sin = grid(inner, 0, n)
     # (row - rows) * q indexes M from its end: row + L wraps past `rows` for free
     base = (lin - rows) * q
-    lout, neg_uout = grid(middle - inner, int(log[ct]) if rows > 1 else 0, 0)
+    lout, neg_uout = grid(middle - inner, int(log[ct]) if ct else 0, 0)
     all_logs = np.arange(q, dtype=np.int64)
 
     def sweep(start: int, stop: int) -> int:
@@ -829,7 +848,7 @@ def count_projective_fast(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             torus = sum(pool.map(lambda rg: sweep(rg[0], rg[1]), ranges))
 
-    total = _zero_stratum(field, N) + torus
+    total = _zero_stratum(field, N) + d ** (N - 2) * torus
     trace = middle_trace(total, q, N) if N % 2 == 1 else None
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)
 

@@ -185,6 +185,24 @@ class TestCount:
         assert fiber["weil_bound_ok"] == 1
         assert fiber["lefschetz_identity_ok"] == 1
 
+    def test_quotient_admits_n5_over_gf1331(self, capsys):
+        # gcd(5, 1330) = 5: 266^3 torus tuples, within the default budget; a
+        # sweep over all 1330^3 tuples gives the same count
+        code, out, err = run(["count", "--N", "5", "--p", "11", "--m", "3", "--t", "2",
+                              "--strategy", "fast", "--format", "text"], capsys)
+        assert code == 0, err
+        assert "points 2357035050" in out
+        assert "weil ok" in out and "lefschetz ok" in out
+
+    def test_quotient_admits_n6_over_gf343(self, capsys):
+        # gcd(6, 342) = 6: 57^4 torus tuples, within the default budget; a
+        # sweep over all 342^4 tuples gives the same count
+        doc = run_json(["count", "--N", "6", "--p", "7", "--m", "3", "--t", "0,1,0",
+                        "--strategy", "fast"], capsys)
+        fiber = doc["payload"]["fibers"][0]
+        assert (fiber["q"], fiber["t"]) == (343, 7)
+        assert fiber["projective_count"] == 13797881856
+
     def test_both_strategies(self, capsys):
         doc = run_json(["count", "--N", "5", "--p", "11", "--t", "2", "--strategy", "both"], capsys)
         fibers = doc["payload"]["fibers"]

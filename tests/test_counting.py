@@ -143,6 +143,21 @@ class TestFieldMake:
         assert f.generator() == 1
         assert f.log_tables()[0].tolist() == [1, 0]
 
+    def test_generator_equals_search_from_one(self):
+        # the least generator by code, searched over every code from 1 with
+        # the polynomial power, for every field with q <= 2^10
+        fields = [(p, m) for p in range(2, 1025) if is_prime(p)
+                  for m in range(1, 11) if p ** m <= 1 << 10]
+        for p, m in fields:
+            q = p ** m
+            f = counting.FiniteField(p, m, field_make(p, m).modulus)
+            factors = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+            expected = next(
+                g for g in range(1, q)
+                if all(f._raw_pow(g, (q - 1) // r) != 1 for r in factors)
+            )
+            assert f.generator() == expected, f
+
 
 def _digit_matrix(field):
     """(digits, place): row x holds the base-p digits of code x, and digits @ place = codes."""
@@ -396,15 +411,18 @@ def _admissible(max_candidates):
     return out
 
 
+def _assert_fast_equals_naive(field, n, workers=1):
+    weight = classical_weight(n)
+    for t in _smooth_params(field, n):  # includes t = 0
+        spec = FiberSpec(n, weight, t, field)
+        assert count_projective_fast(spec, workers=workers).projective_count == \
+            count_projective_naive(spec).projective_count, (field, n, t)
+
+
 class TestFastOverAllFields:
     @pytest.mark.parametrize("p,m,n", EXTENSION_CASES)
     def test_every_smooth_parameter(self, p, m, n):
-        field = field_make(p, m)
-        weight = classical_weight(n)
-        for t in _smooth_params(field, n):  # includes t = 0
-            spec = FiberSpec(n, weight, t, field)
-            assert count_projective_fast(spec).projective_count == \
-                count_projective_naive(spec).projective_count, t
+        _assert_fast_equals_naive(field_make(p, m), n)
 
     def test_workers_deterministic(self):
         field = field_make(2, 4)
@@ -425,6 +443,60 @@ class TestFastOverAllFields:
                 count_projective_naive(spec).projective_count
 
         check()
+
+
+# (p, m, N) with d = gcd(N, q-1) > 1: (q-1)/d is 1 for GF(4), F_7 and GF(8);
+# 2 for F_7 at N = 3 and 9, F_11 and F_13; 3 for F_19
+QUOTIENT_CASES = [
+    (2, 2, 3), (7, 1, 6), (2, 3, 7),
+    (7, 1, 3), (11, 1, 5),
+    (13, 1, 6), (19, 1, 6), (7, 1, 9),
+]
+
+
+class TestFastQuotient:
+    """The torus sweep and the M table quotiented by mu_d, d = gcd(N, q-1)."""
+
+    @pytest.mark.parametrize("p,m,n", QUOTIENT_CASES)
+    def test_every_smooth_parameter(self, p, m, n):
+        field = field_make(p, m)
+        assert gcd(n, field.q - 1) > 1
+        _assert_fast_equals_naive(field, n)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("p,m,n", QUOTIENT_CASES)
+    def test_small_grid(self, monkeypatch, p, m, n, workers):
+        # a grid of at most 4 tuples, so that the outer loop runs over the
+        # remaining coordinates, split across the workers
+        monkeypatch.setattr(counting, "_GRID_MIN", 4)
+        monkeypatch.setattr(counting, "_GRID_MAX", 4)
+        _assert_fast_equals_naive(field_make(p, m), n, workers)
+
+    def test_budget_counts_the_quotient(self):
+        # gcd(3, 30) = 3: an M table of 10 rows of 31, not 31^2 entries
+        spec = FiberSpec(3, classical_weight(3), 2, field_make(31, 1))
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=100)
+        assert 10 * 31 < err.value.required < 31 ** 2
+        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+            count_projective_naive(spec).projective_count
+
+    @pytest.mark.parametrize("p,m,n", [(7, 1, 3), (13, 1, 6), (2, 4, 5), (5, 2, 4), (11, 1, 3)])
+    def test_m_table_rows_repeat(self, p, m, n):
+        # row k of the full table, counted directly, is row k mod (q-1)/d
+        field = field_make(p, m)
+        q = field.q
+        rows = (q - 1) // gcd(n, q - 1)
+        table = counting._m_table(field, n, False)
+        assert table.shape == (rows, q)
+        log, _ = field.log_tables()
+        g = field.generator()
+        for k in range(q - 1):
+            c = field.pow(g, k)
+            row = [0] * q
+            for x in range(1, q):
+                row[log[field.sub(field.pow(x, n), field.mul(c, x))]] += 1
+            assert table[k % rows].tolist() == row, k
 
 
 class TestTraceAndBounds:
@@ -551,6 +623,20 @@ class TestTower:
         for fc in tower:
             assert fc.strategy == "fast"
             assert fc.projective_count == count_projective_naive(fc.spec).projective_count
+
+    @pytest.mark.parametrize("p,t,levels", [(7, 3, 4), (5, 2, 5)])
+    def test_hesse_cubic_frobenius_recurrence(self, p, t, levels):
+        # a smooth plane cubic has genus one: a_k = alpha^k + beta^k with
+        # alpha beta = p, so a_(k+1) = a_1 a_k - p a_(k-1) with a_0 = 2, a
+        # check well past the naive counter's range.  3 divides q - 1 at
+        # every level over F_7, and at the even levels only over F_5
+        spec = FiberSpec(3, classical_weight(3), t, field_make(p, 1))
+        tower = tower_counts(spec, levels)
+        assert [fc.strategy for fc in tower] == ["fast"] * levels
+        assert tower[0].projective_count == count_projective_naive(spec).projective_count
+        traces = [2] + [fc.trace for fc in tower]
+        for k in range(1, levels):
+            assert traces[k + 1] == traces[1] * traces[k] - p * traces[k - 1], k
 
     def test_nonclassical_tower_stays_naive(self):
         spec = FiberSpec(4, WeightVector(4, (2, 2, 0, 0)), 0, field_make(3, 1))
