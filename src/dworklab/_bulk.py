@@ -12,6 +12,11 @@ N^(N-2)-row transversal {v : v_j = 0}; otherwise the kernels fall back to
 the full table and deduplicate.  Tables are column-major, uint8 of shape
 (N, rows), and ``class_weight_stats`` sweeps one once per (N, W); class
 enumeration and the repeated-weight scan both read that sweep.
+
+Both table builders (``zero_sum_table``, ``_transversal_table``) call the
+one row check, ``_check_rows``, before they allocate: it admits N = 8's
+full table and N = 9's transversal, and refuses anything larger with a
+ValueError.
 """
 
 from dataclasses import dataclass
@@ -20,20 +25,16 @@ from math import gcd
 
 import numpy as np
 
-# the full table of N = 8 and the transversal of N = 9 fit; N = 9's full table does not
+# one check (_check_rows) covers every table: N = 8's full table (8^7 rows) and
+# N = 9's transversal (9^7 rows) fit; N = 9's full table and N = 10's transversal do not
 MAX_TABLE_ROWS = 25_000_000
 
 
-def table_rows(modulus: int) -> int:
-    return modulus ** (modulus - 1)
-
-
-def check_table_budget(modulus: int, max_rows: int = MAX_TABLE_ROWS) -> None:
-    rows = table_rows(modulus)
-    if rows > max_rows:
+def _check_rows(modulus: int, rows: int) -> None:
+    if rows > MAX_TABLE_ROWS:
         raise ValueError(
-            f"bulk enumeration for modulus {modulus} needs {rows} rows, "
-            f"over the limit of {max_rows}; raise max_rows to force it"
+            f"class enumeration for modulus {modulus} needs {rows} rows, "
+            f"over the limit of {MAX_TABLE_ROWS}"
         )
 
 
@@ -53,7 +54,7 @@ def _sum_constrained_rows(modulus: int, positions: list[int], dep: int) -> np.nd
 def zero_sum_table(modulus: int) -> np.ndarray:
     """All vectors in {0..N-1}^N with zero coordinate sum mod N, in lex order."""
     n = modulus
-    check_table_budget(n)
+    _check_rows(n, n ** (n - 1))
     return _sum_constrained_rows(n, list(range(n - 1)), n - 1)
 
 
@@ -61,6 +62,7 @@ def zero_sum_table(modulus: int) -> np.ndarray:
 def _transversal_table(modulus: int, zero_at: int) -> np.ndarray:
     """Zero-sum vectors with coordinate `zero_at` equal to 0 (N^(N-2) columns)."""
     n = modulus
+    _check_rows(n, n ** (n - 2))
     dep = n - 1 if zero_at != n - 1 else n - 2
     free = [i for i in range(n) if i not in (zero_at, dep)]
     return _sum_constrained_rows(n, free, dep)
@@ -112,7 +114,7 @@ def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
         raise RuntimeError("class sweep code is not the least member of its class")
 
 
-def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS):
+def class_weight_stats(modulus: int, weight: tuple[int, ...]):
     """One sweep over the N coset members of every class of (N, W).
 
     Returns (codes, tnz, lift, member): the sorted canonical (least member)
@@ -127,16 +129,7 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MA
     n = modulus
     j = _transversal_position(n, weight)
     full = j is None or n < 3
-    if full:
-        check_table_budget(n, max_rows)
-        table = zero_sum_table(n)
-    elif n ** (n - 2) > max_rows:
-        raise ValueError(
-            f"class enumeration for modulus {n} needs {n ** (n - 2)} rows, "
-            f"over the limit of {max_rows}"
-        )
-    else:
-        table = _transversal_table(n, j)
+    table = zero_sum_table(n) if full else _transversal_table(n, j)
 
     step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
     vec, below = table.copy(), np.empty_like(table)
@@ -170,11 +163,9 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...], max_rows: int = MA
 
 
 @lru_cache(maxsize=8)
-def canonical_class_codes(
-    modulus: int, weight: tuple[int, ...], max_rows: int = MAX_TABLE_ROWS
-) -> np.ndarray:
+def canonical_class_codes(modulus: int, weight: tuple[int, ...]) -> np.ndarray:
     """Sorted codes of the lex-least coset representatives, one per class."""
-    return class_weight_stats(modulus, weight, max_rows)[0]
+    return class_weight_stats(modulus, weight)[0]
 
 
 def _first_members(member: np.ndarray) -> np.ndarray:
@@ -252,9 +243,7 @@ class RepeatScan:
 
 
 @lru_cache(maxsize=8)
-def repeat_scan(
-    modulus: int, weight: tuple[int, ...], indexed: bool, max_rows: int = MAX_TABLE_ROWS
-) -> RepeatScan:
+def repeat_scan(modulus: int, weight: tuple[int, ...], indexed: bool) -> RepeatScan:
     """The exhaustive repeated-weight scan over every class of (N, W).
 
     Under indexed semantics all N totally nonzero coset members count, so
@@ -263,7 +252,7 @@ def repeat_scan(
     all members k' < k.
     """
     n = modulus
-    codes, tnz, lift, member = class_weight_stats(modulus, weight, max_rows)
+    codes, tnz, lift, member = class_weight_stats(modulus, weight)
     lift //= n
     lift -= 1
     weights = lift.astype(np.int8)

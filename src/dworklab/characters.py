@@ -119,6 +119,14 @@ def classical_weight(modulus: int) -> WeightVector:
     return WeightVector(modulus, (1,) * modulus)
 
 
+def _checked_weight(modulus: int, weight: WeightVector | None) -> WeightVector:
+    """``weight``, or the classical weight when it is None, after checking its modulus."""
+    weight = classical_weight(modulus) if weight is None else weight
+    if weight.modulus != modulus:
+        raise ValueError("weight modulus does not match")
+    return weight
+
+
 def _shift(entries: tuple[int, ...], k: int, weight: WeightVector) -> tuple[int, ...]:
     n = weight.modulus
     return tuple((e + k * w) % n for e, w in zip(entries, weight.entries))
@@ -217,9 +225,7 @@ def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple
     (``_bulk.class_weight_stats`` checks its arrays), so the classes are
     built by ``_trusted_class``.
     """
-    weight = classical_weight(modulus) if weight is None else weight
-    if weight.modulus != modulus:
-        raise ValueError("weight modulus does not match")
+    weight = _checked_weight(modulus, weight)
     codes = _bulk.canonical_class_codes(modulus, weight.entries)
     return tuple(
         _trusted_class(weight, ResidueVector(modulus, rep))

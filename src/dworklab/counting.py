@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import product as iproduct
 from math import comb, gcd
 from typing import Sequence
 
@@ -557,11 +558,13 @@ def _fold(n: int) -> np.ndarray:
 _INNER_CAP = 1 << 21  # rows of the inner block, unless one coordinate alone exceeds it
 
 
-def _split_range(total: int, workers: int) -> list[tuple[int, int]]:
+def _split_sum(run, total: int, workers: int) -> int:
+    """Sum of run(start, stop) over ranges covering 0..total, one per worker thread."""
     if workers <= 1 or total < workers:
-        return [(0, total)]
+        return run(0, total)
     step = -(-total // workers)
-    return [(s, min(s + step, total)) for s in range(0, total, step)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(lambda s: run(s, min(s + step, total)), range(0, total, step)))
 
 
 def _count_stratum(spec: FiberSpec, lead: int, workers: int) -> int:
@@ -643,11 +646,7 @@ def _count_stratum(spec: FiberSpec, lead: int, workers: int) -> int:
             hits += int(mult[lhs == rhs].sum())
         return hits
 
-    ranges = _split_range(len(sum_out), workers)
-    if len(ranges) == 1:
-        return run(0, len(sum_out))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda r: run(r[0], r[1]), ranges))
+    return _split_sum(run, len(sum_out), workers)
 
 
 def count_projective_naive(
@@ -841,13 +840,7 @@ def count_projective_fast(
             hits += int(vals.sum())
         return hits
 
-    ranges = _split_range(len(lout), workers)
-    if len(ranges) == 1:
-        torus = sweep(0, len(lout))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            torus = sum(pool.map(lambda rg: sweep(rg[0], rg[1]), ranges))
-
+    torus = _split_sum(sweep, len(lout), workers)
     total = _zero_stratum(field, N) + d ** (N - 2) * torus
     trace = middle_trace(total, q, N) if N % 2 == 1 else None
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)
@@ -868,8 +861,6 @@ def enumerate_points(spec: FiberSpec, budget: int = DEFAULT_BUDGET) -> tuple[tup
     weights = spec.weight.entries
     c = field.mul(N % field.p, spec.t)
     points = []
-    from itertools import product as iproduct
-
     for lead in range(N):
         for tail in iproduct(range(q), repeat=N - 1 - lead):
             x = (0,) * lead + (1,) + tail
@@ -885,6 +876,11 @@ def enumerate_points(spec: FiberSpec, budget: int = DEFAULT_BUDGET) -> tuple[tup
     return tuple(points)
 
 
+def _require_mu(q: int, N: int) -> None:
+    if (q - 1) % N != 0:
+        raise CharacteristicError(f"mu_{N} requires q = 1 mod {N}, got q = {q}")
+
+
 def group_elements(weight: WeightVector, field: FiniteField) -> tuple[tuple[int, ...], ...]:
     """Coset representatives of the symmetry group, as root-of-unity tuples.
 
@@ -894,14 +890,11 @@ def group_elements(weight: WeightVector, field: FiniteField) -> tuple[tuple[int,
     """
     N = weight.modulus
     q = field.q
-    if (q - 1) % N != 0:
-        raise CharacteristicError(f"mu_{N} requires q = 1 mod {N}, got q = {q}")
+    _require_mu(q, N)
     if N ** N > 4_000_000:
         raise CapabilityError(f"group enumeration over {N}^{N} exponent tuples is too large")
     z = field.pow(field.generator(), (q - 1) // N)
     zpow = [field.pow(z, i) for i in range(N)]
-    from itertools import product as iproduct
-
     reps = set()
     for a in iproduct(range(N), repeat=N):
         if sum(ai * wi for ai, wi in zip(a, weight.entries)) % N:
@@ -947,9 +940,7 @@ def group_action_check(
     trivially on the (sampled) projective points.  Requires q = 1 mod N.
     """
     field, N = spec.field, spec.N
-    q = field.q
-    if (q - 1) % N != 0:
-        raise CharacteristicError(f"mu_{N} requires q = 1 mod {N}, got q = {q}")
+    _require_mu(field.q, N)
     gamma = tuple(gamma)
     if len(gamma) != N:
         raise ValueError(f"gamma must have {N} coordinates")

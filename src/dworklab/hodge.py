@@ -20,8 +20,10 @@ classical weight.
 The per-class functions (``hodge_data``, ``semantics_divergent``, the two
 witness constructions) run the recipe in plain Python.  The exhaustive scan
 does not: ``_bulk.repeat_scan`` evaluates the recipe for every class at once
-in numpy, and its one cached result serves ``repeated_ht_scan``,
-``repeated_class_representatives`` and ``scan_contains``.  Each report's
+in numpy.  ``repeated_ht_scan``, ``repeated_class_representatives`` and
+``scan_contains`` all reach it through one front door, ``_scan``, which
+checks (N, W, semantics) once; the table builders behind it check the one
+row limit, ``_bulk.MAX_TABLE_ROWS``, before they allocate.  Each report's
 fields (sorted weights, least repeated value, multiplicity, set/indexed
 divergence) come from that result's arrays.  Its classes are built by
 ``characters._trusted_class``, the constructor ``class_of`` and
@@ -42,6 +44,7 @@ from .characters import (
     CharClass,
     ResidueVector,
     WeightVector,
+    _checked_weight,
     _trusted_class,
     class_of,
     classical_weight,
@@ -128,13 +131,17 @@ def totally_nonzero_representatives(cls: CharClass) -> tuple[ResidueVector, ...]
     return tuple(m for m in coset_elements(cls) if is_totally_nonzero(m))
 
 
+def _check_semantics(semantics: str) -> None:
+    if semantics not in ("set", "indexed"):
+        raise ValueError(f"semantics must be 'set' or 'indexed', got {semantics!r}")
+
+
 def hodge_data(cls: CharClass, semantics: Semantics = "set") -> HodgeData:
+    _check_semantics(semantics)
     if semantics == "set":
         members = coset_elements(cls)
-    elif semantics == "indexed":
-        members = tuple(m for _, m in coset_elements_indexed(cls))
     else:
-        raise ValueError(f"semantics must be 'set' or 'indexed', got {semantics!r}")
+        members = tuple(m for _, m in coset_elements_indexed(cls))
     weights = tuple(sorted(ht_of_vector(m) for m in members if is_totally_nonzero(m)))
     return HodgeData(cls.modulus, len(weights), weights, semantics)
 
@@ -173,9 +180,7 @@ def total_dimension(modulus: int, weight: WeightVector | None = None) -> int:
     characters chi of Z/N, the trivial one contributes (N-1)^N and each
     other one (sum over u != 0 of chi(u))^N = (-1)^N.
     """
-    weight = classical_weight(modulus) if weight is None else weight
-    if weight.modulus != modulus:
-        raise ValueError("weight modulus does not match")
+    _checked_weight(modulus, weight)
     n = modulus
     return ((n - 1) ** n + (-1) ** n * (n - 1)) // n
 
@@ -237,8 +242,7 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
     n = modulus
     if n < 3:
         raise ValueError(f"need N >= 3, got {n}")
-    if weight.modulus != n:
-        raise ValueError("weight modulus does not match")
+    weight = _checked_weight(n, weight)
     if weight.classical:
         raise ValueError("the construction applies to non-classical weights only")
 
@@ -264,11 +268,21 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
     return report
 
 
+def _scan(
+    modulus: int, weight: WeightVector | None, semantics: Semantics
+) -> tuple[WeightVector, _bulk.RepeatScan]:
+    """The front door of the three scan functions below: (W, the cached scan).
+
+    W defaults to the classical weight; its modulus and the semantics are
+    checked here, and the row limit in ``_bulk``'s table builders.
+    """
+    weight = _checked_weight(modulus, weight)
+    _check_semantics(semantics)
+    return weight, _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed")
+
+
 def repeated_ht_scan(
-    modulus: int,
-    weight: WeightVector | None = None,
-    semantics: Semantics = "indexed",
-    max_rows: int = _bulk.MAX_TABLE_ROWS,
+    modulus: int, weight: WeightVector | None = None, semantics: Semantics = "indexed"
 ) -> tuple[WitnessReport, ...]:
     """Every class whose weight multiset has a repeat, by exhaustive scan.
 
@@ -279,12 +293,7 @@ def repeated_ht_scan(
     representatives are canonical, so each class is built by
     ``_trusted_class``.
     """
-    weight = classical_weight(modulus) if weight is None else weight
-    if weight.modulus != modulus:
-        raise ValueError("weight modulus does not match")
-    if semantics not in ("set", "indexed"):
-        raise ValueError(f"semantics must be 'set' or 'indexed', got {semantics!r}")
-    scan = _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed", max_rows)
+    weight, scan = _scan(modulus, weight, semantics)
     fields = zip(
         _bulk.decode_many(scan.codes, modulus),
         *(array.tolist() for array in scan.report_fields()),
@@ -302,32 +311,20 @@ def repeated_ht_scan(
 
 
 def repeated_class_representatives(
-    modulus: int,
-    weight: WeightVector | None = None,
-    semantics: Semantics = "indexed",
-    max_rows: int = _bulk.MAX_TABLE_ROWS,
+    modulus: int, weight: WeightVector | None = None, semantics: Semantics = "indexed"
 ) -> tuple[tuple[int, ...], ...]:
     """Canonical representatives of the classes a scan would report (cheap form)."""
-    weight = classical_weight(modulus) if weight is None else weight
-    if weight.modulus != modulus:
-        raise ValueError("weight modulus does not match")
-    scan = _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed", max_rows)
+    scan = _scan(modulus, weight, semantics)[1]
     return tuple(_bulk.decode_many(scan.codes, modulus))
 
 
-def scan_contains(
-    cls: CharClass,
-    semantics: Semantics = "indexed",
-    max_rows: int = _bulk.MAX_TABLE_ROWS,
-) -> bool:
+def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:
     """Whether the exhaustive repeated-weight scan reports this class.
 
     Runs the same scan as repeated_ht_scan but answers membership by binary
     search on the flagged canonical codes instead of materializing reports.
     """
-    codes = _bulk.repeat_scan(
-        cls.modulus, cls.weight.entries, semantics == "indexed", max_rows
-    ).codes
+    codes = _scan(cls.modulus, cls.weight, semantics)[1].codes
     code = _bulk.encode_one(cls.representative.entries, cls.modulus)
     i = int(np.searchsorted(codes, code))
     return i < len(codes) and int(codes[i]) == code

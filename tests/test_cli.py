@@ -57,6 +57,12 @@ class TestClasses:
         assert code == 2
         assert "sum" in err
 
+    def test_past_row_limit_exits_2(self, capsys):
+        # the transversal of N = 10 has 10^8 rows, over the 25 M row limit
+        code, out, err = run(["classes", "--N", "10"], capsys)
+        assert code == 2 and out == ""
+        assert "needs 100000000 rows, over the limit of 25000000" in err
+
     def test_orbits_need_classical(self, capsys):
         code, _, _ = run(["classes", "--N", "4", "--W", "2,2,0,0", "--orbits"], capsys)
         assert code == 2
@@ -130,6 +136,16 @@ class TestWitness:
         assert p["constructed"] is None
         assert "pivot" in p["construction_error"]
         assert p["scan"]["repeated_class_count"] > 0
+
+    def test_scan_past_row_limit_skipped(self, capsys):
+        # the transversal of N = 10 has 10^8 rows, over the 25 M row limit
+        doc = run_json(["witness", "--N", "10"], capsys)
+        p = doc["payload"]
+        assert p["constructed"]["class"] == [0, 4, 4, 6, 6, 6, 6, 6, 6, 6]
+        assert p["scan"]["checked"] == 0
+        assert "100000000 rows" in p["scan"]["reason"]
+        assert p["agreement"] is None
+        assert any(w.startswith("scan skipped: ") for w in doc["warnings"])
 
 
 class TestCount:

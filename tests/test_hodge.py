@@ -385,6 +385,72 @@ class TestScan:
             repeated_class_representatives(6, w)
         )
 
+    def test_unknown_semantics_refused_by_every_scan(self):
+        cls = classical_repeat_class(6).char_class
+        with pytest.raises(ValueError) as recipe:
+            hodge_data(cls, "bogus")
+        scans = [
+            lambda: repeated_ht_scan(6, WeightVector(6, (2, 2, 2, 0, 0, 0)), "bogus"),
+            lambda: repeated_class_representatives(6, WeightVector(6, (2, 2, 2, 0, 0, 0)), "bogus"),
+            lambda: scan_contains(cls, "bogus"),
+        ]
+        for scan in scans:
+            with pytest.raises(ValueError) as refused:
+                scan()
+            assert str(refused.value) == str(recipe.value)
+
+
+def _clear_bulk_caches():
+    for value in vars(_bulk).values():
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+
+
+# (weight at N = 6, rows of the table its sweep reads): the classical weight has a
+# unit entry, so it reads a transversal of 6^4 rows; (2,2,2,0,0,0) reads the full 6^5
+ROW_LIMIT_PATHS = [((1,) * 6, 6 ** 4), ((2, 2, 2, 0, 0, 0), 6 ** 5)]
+
+
+class TestRowLimit:
+    """``_bulk.MAX_TABLE_ROWS`` is checked once, by each table builder before it
+    allocates, for class enumeration and all three scan functions alike."""
+
+    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=["transversal", "full"])
+    def test_refused_before_any_table_is_built(self, monkeypatch, weights, rows):
+        _clear_bulk_caches()
+        monkeypatch.setattr(_bulk, "MAX_TABLE_ROWS", rows - 1)
+
+        def no_table(*args):
+            raise AssertionError("a table was allocated past the row limit")
+
+        monkeypatch.setattr(_bulk, "_sum_constrained_rows", no_table)
+        w = WeightVector(6, weights)
+        cls = class_of((0,) * 6, w)
+        calls = [
+            lambda: enumerate_classes(6, w),
+            lambda: repeated_ht_scan(6, w),
+            lambda: repeated_class_representatives(6, w, "set"),
+            lambda: scan_contains(cls),
+        ]
+        message = f"class enumeration for modulus 6 needs {rows} rows, over the limit of {rows - 1}"
+        for call in calls:
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=["transversal", "full"])
+    def test_table_at_the_limit_is_built(self, monkeypatch, weights, rows):
+        _clear_bulk_caches()
+        monkeypatch.setattr(_bulk, "MAX_TABLE_ROWS", rows)
+        w = WeightVector(6, weights)
+        assert len(enumerate_classes(6, w)) == 6 ** 5 // w.order
+        _clear_bulk_caches()
+
+    def test_full_table_refusal_at_n9(self):
+        # 9^8 rows; the limit admits only N = 9's transversal of 9^7 rows
+        w = WeightVector(9, (3, 3, 3) + (0,) * 6)
+        with pytest.raises(ValueError, match="needs 43046721 rows, over the limit of 25000000$"):
+            repeated_ht_scan(9, w)
+
 
 def _compositions(n):
     """Every weight vector of length n: non-negative entries summing to n."""
