@@ -6,28 +6,30 @@ lexicographic order on the vectors.  The public modules keep small per-class
 operations in plain Python; these kernels exist for the bulk jobs (class
 enumeration, repeated-weight scans) where a full table has N^(N-1) rows.
 
-When some coordinate j has gcd(w_j, N) = 1, every coset contains exactly one
-vector with v_j = 0, so the classes are enumerated directly from the
-N^(N-2)-row transversal {v : v_j = 0}; otherwise the kernels fall back to
-the full table and deduplicate.  Tables are column-major, uint8 of shape
-(N, rows), and ``class_weight_stats`` sweeps one once per (N, W); class
-enumeration and the repeated-weight scan both read that sweep.
+With g = gcd(N, w_1, ..., w_N) = N/ord(W), let j be the first coordinate
+with gcd(w_j, N) = g.  As k runs over Z/ord(W), v_j + k*w_j runs once
+through v_j + gZ/N, so every class has exactly one member with v_j < g, and
+the classes are enumerated directly from the transversal {v : v_j < g} of
+N^(N-1)/ord(W) rows: N^(N-2) when some weight is a unit, the full table
+when W = 0 mod N.  Tables are column-major, uint8 of shape (N, rows), and
+``class_weight_stats`` sweeps one once per (N, W); class enumeration and
+the repeated-weight scan both read that sweep.
 
-Both table builders (``zero_sum_table``, ``_transversal_table``) call the
-one row check, ``_check_rows``, before they allocate: it admits N = 8's
-full table and N = 9's transversal, and refuses anything larger with a
-ValueError.
+``class_weight_stats`` checks the one row limit, ``_check_rows``, before it
+looks for j or builds a table: it admits every W at N <= 8 and N = 9 when
+g = 1, and refuses anything larger with a ValueError.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
-# one check (_check_rows) covers every table: N = 8's full table (8^7 rows) and
-# N = 9's transversal (9^7 rows) fit; N = 9's full table and N = 10's transversal do not
-MAX_TABLE_ROWS = 25_000_000
+# one check (_check_rows) counts the classes, N^(N-1)/ord(W), one row each: every W
+# at N <= 8 (at most 8^7 rows) and N = 9 with g = 1 (9^7) fit; N = 9 with g = 3
+# (3 * 9^7 rows, a sweep of about 1.3 GB) and every W at N >= 10 do not
+MAX_TABLE_ROWS = 10_000_000
 
 
 def _check_rows(modulus: int, rows: int) -> None:
@@ -38,41 +40,28 @@ def _check_rows(modulus: int, rows: int) -> None:
         )
 
 
-def _sum_constrained_rows(modulus: int, positions: list[int], dep: int) -> np.ndarray:
-    """Read-only (N, rows) table whose columns sweep `positions` freely in lex
-    order, with the `dep` coordinate forced by the zero-sum condition and all
-    others zero."""
-    n, free = modulus, len(positions)
-    table = np.zeros((n, n ** free), dtype=np.uint8)
-    table[positions] = np.indices((n,) * free, dtype=np.uint8).reshape(free, n ** free)
+def _sum_constrained_rows(
+    modulus: int, positions: list[int], sizes: list[int], dep: int
+) -> np.ndarray:
+    """Read-only (N, rows) table whose columns sweep each of `positions`
+    through 0..size-1 in lex order, with the `dep` coordinate forced by the
+    zero-sum condition."""
+    n, rows = modulus, prod(sizes)
+    table = np.zeros((n, rows), dtype=np.uint8)
+    table[positions] = np.indices(sizes, dtype=np.uint8).reshape(len(sizes), rows)
     table[dep] = -table.sum(axis=0, dtype=np.int16) % n
     table.flags.writeable = False
     return table
 
 
-@lru_cache(maxsize=6)
-def zero_sum_table(modulus: int) -> np.ndarray:
-    """All vectors in {0..N-1}^N with zero coordinate sum mod N, in lex order."""
-    n = modulus
-    _check_rows(n, n ** (n - 1))
-    return _sum_constrained_rows(n, list(range(n - 1)), n - 1)
-
-
 @lru_cache(maxsize=16)
-def _transversal_table(modulus: int, zero_at: int) -> np.ndarray:
-    """Zero-sum vectors with coordinate `zero_at` equal to 0 (N^(N-2) columns)."""
+def _transversal_table(modulus: int, at: int, below: int) -> np.ndarray:
+    """Zero-sum vectors with coordinate `at` below `below` (below * N^(N-2)
+    columns when N >= 2)."""
     n = modulus
-    _check_rows(n, n ** (n - 2))
-    dep = n - 1 if zero_at != n - 1 else n - 2
-    free = [i for i in range(n) if i not in (zero_at, dep)]
-    return _sum_constrained_rows(n, free, dep)
-
-
-def _transversal_position(modulus: int, weight: tuple[int, ...]) -> int | None:
-    for j, w in enumerate(weight):
-        if gcd(w, modulus) == 1:
-            return j
-    return None
+    dep = 0 if at == n - 1 else n - 1
+    free = [i for i in range(n) if i != dep]
+    return _sum_constrained_rows(n, free, [below if i == at else n for i in free], dep)
 
 
 def code_dtype(modulus: int) -> type:
@@ -118,18 +107,21 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...]):
     """One sweep over the N coset members of every class of (N, W).
 
     Returns (codes, tnz, lift, member): the sorted canonical (least member)
-    codes, one per class, and three (N, n_classes) arrays whose entry [k, j]
-    describes member v_j + kW of class j: totally nonzero (bool), lift sum
-    (int16) and code (``code_dtype(N)``, as ``codes``).  The table is
-    stepped by W in place, and member k's code is a Horner pass over its N
-    rows.  On the full table a column is kept when it is its class's least
-    member; the transversal's columns are argsorted.  Each array is gathered
+    codes, one per class, and three (N, n_classes) arrays whose entry [k, c]
+    describes member v_c + kW of class c: totally nonzero (bool), lift sum
+    (int16) and code (``code_dtype(N)``, as ``codes``).  The row limit is
+    checked first.  v_c is class c's one member in the transversal
+    {v : v_j < g} (see the module docstring), which is its least member
+    whenever w_j is W's first entry nonzero mod N.  The table is stepped by W
+    in place, member k's code is a Horner pass over its N rows, and the
+    columns are argsorted by their least member.  Each array is gathered
     once, and ``_check_canonical`` checks the result before it is returned.
     """
     n = modulus
-    j = _transversal_position(n, weight)
-    full = j is None or n < 3
-    table = zero_sum_table(n) if full else _transversal_table(n, j)
+    g = gcd(n, *weight)
+    _check_rows(n, n ** (n - 1) // (n // g))
+    j = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
+    table = _transversal_table(n, j, g)
 
     step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
     vec, below = table.copy(), np.empty_like(table)
@@ -151,8 +143,7 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...]):
     del vec, below
 
     canon = member.min(axis=0)
-    # the full table is in code order, so its least members come out sorted
-    order = np.flatnonzero(member[0] == canon) if full else np.argsort(canon)
+    order = np.argsort(canon)
     # one array at a time, so that only one old array outlives its copy
     tnz = tnz.take(order, axis=1)
     lift = lift.take(order, axis=1)

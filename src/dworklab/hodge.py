@@ -22,15 +22,16 @@ witness constructions) run the recipe in plain Python.  The exhaustive scan
 does not: ``_bulk.repeat_scan`` evaluates the recipe for every class at once
 in numpy.  ``repeated_ht_scan``, ``repeated_class_representatives`` and
 ``scan_contains`` all reach it through one front door, ``_scan``, which
-checks (N, W, semantics) once; the table builders behind it check the one
-row limit, ``_bulk.MAX_TABLE_ROWS``, before they allocate.  Each report's
-fields (sorted weights, least repeated value, multiplicity, set/indexed
-divergence) come from that result's arrays.  Its classes are built by
-``characters._trusted_class``, the constructor ``class_of`` and
+checks (N, W, semantics) once.  The sweep behind it reads one transversal
+of N^(N-1)/ord(W) zero-sum vectors, one per class, for every W, and checks
+the one row limit, ``_bulk.MAX_TABLE_ROWS``, before it builds that table.
+Each report's fields (sorted weights, least repeated value, multiplicity,
+set/indexed divergence) come from that result's arrays.  Its classes are
+built by ``characters._trusted_class``, the constructor ``class_of`` and
 ``enumerate_classes`` share, without ``CharClass``'s per-class
-re-canonicalisation: the sweep's representatives are canonical, and
-``_bulk.class_weight_stats`` checks that once on its arrays.  The per-class
-recipe is the scan's test oracle.
+re-canonicalisation: the sweep's codes are those of canonical (least)
+members, and ``_bulk.class_weight_stats`` checks that once on its arrays.
+The per-class recipe is the scan's test oracle.
 """
 
 from dataclasses import dataclass

@@ -58,10 +58,10 @@ class TestClasses:
         assert "sum" in err
 
     def test_past_row_limit_exits_2(self, capsys):
-        # the transversal of N = 10 has 10^8 rows, over the 25 M row limit
+        # the transversal of N = 10 has 10^8 rows, over the 10 M row limit
         code, out, err = run(["classes", "--N", "10"], capsys)
         assert code == 2 and out == ""
-        assert "needs 100000000 rows, over the limit of 25000000" in err
+        assert "needs 100000000 rows, over the limit of 10000000" in err
 
     def test_orbits_need_classical(self, capsys):
         code, _, _ = run(["classes", "--N", "4", "--W", "2,2,0,0", "--orbits"], capsys)
@@ -138,14 +138,34 @@ class TestWitness:
         assert p["scan"]["repeated_class_count"] > 0
 
     def test_scan_past_row_limit_skipped(self, capsys):
-        # the transversal of N = 10 has 10^8 rows, over the 25 M row limit
+        # the transversal of N = 10 has 10^8 rows, over the 10 M row limit
         doc = run_json(["witness", "--N", "10"], capsys)
         p = doc["payload"]
         assert p["constructed"]["class"] == [0, 4, 4, 6, 6, 6, 6, 6, 6, 6]
         assert p["scan"]["checked"] == 0
-        assert "100000000 rows" in p["scan"]["reason"]
+        assert "100000000 rows, over the limit of 10000000" in p["scan"]["reason"]
         assert p["agreement"] is None
         assert any(w.startswith("scan skipped: ") for w in doc["warnings"])
+
+    def test_n9_order3_scan_refused_under_memory_cap(self):
+        # (3,3,3,0,...,0) at N = 9 has 3 * 9^7 classes, a sweep of about 1.3 GB;
+        # run apart under a 1 GiB address-space cap, so that admitting it fails
+        # here instead of exhausting the machine's memory
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dworklab.cli import main; "
+             "sys.exit(main(['witness', '--N', '9', '--W', '3,3,3,0,0,0,0,0,0']))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        scan = json.loads(proc.stdout)["payload"]["scan"]
+        assert scan["checked"] == 0
+        assert scan["reason"].startswith("class enumeration for modulus 9 needs ")
+        assert " rows, over the limit of " in scan["reason"]
 
 
 class TestCount:
@@ -366,6 +386,15 @@ PINNED_OUTPUTS = {
         "dc40e91fe6c3c5eb6499a219cd736cc1c6f2c0aad48f3147d9bf4b9f5fbd8ac0",
     ("classes", "--N", "6"): "ce351cb9f6469f4e092ea0b6d478a81f85dc56153c8977f4f9e96c237021060a",
     ("hodge", "--N", "6"): "41e1bbd1f3c1415be1b5c071502f38260d8283e9e17275201f44f27bc5e58f7d",
+    # weights with no unit entry; (2,0,0,0,3,1)'s only unit is its last entry
+    ("classes", "--N", "6", "--W", "2,2,2,0,0,0"):
+        "429130bd8a10559d51aff2b8ab2b31fc4fa0379f1719a3093084ceab83fbfe93",
+    ("hodge", "--N", "6", "--W", "3,3,0,0,0,0"):
+        "7510438b4a445db7724a87ea2d7665490f0b650721cda06286388d3de4af5db4",
+    ("witness", "--N", "6", "--W", "2,0,0,0,3,1"):
+        "48319d233c9d8ce8711e1c75ed73a08ca61121e2e79f2628a20b826dd5ad4a0a",
+    ("witness", "--N", "7", "--W", "7,0,0,0,0,0,0"):
+        "55549bc043d1318101b6c16a4a98acfab40d81e47c50011bf358b697f4c1beb5",
 }
 
 

@@ -2,6 +2,7 @@
 
 import random
 from itertools import product
+from math import gcd
 
 import numpy as np
 import pytest
@@ -406,16 +407,17 @@ def _clear_bulk_caches():
             value.cache_clear()
 
 
-# (weight at N = 6, rows of the table its sweep reads): the classical weight has a
-# unit entry, so it reads a transversal of 6^4 rows; (2,2,2,0,0,0) reads the full 6^5
-ROW_LIMIT_PATHS = [((1,) * 6, 6 ** 4), ((2, 2, 2, 0, 0, 0), 6 ** 5)]
+# (weight at N = 6, rows of the transversal its sweep reads, N^(N-1)/ord(W)): the
+# classical weight reads 6^4 rows, (2,2,2,0,0,0) 2 * 6^4 and (6,0,0,0,0,0) the full 6^5
+ROW_LIMIT_PATHS = [((1,) * 6, 6 ** 4), ((2, 2, 2, 0, 0, 0), 2 * 6 ** 4), ((6,) + (0,) * 5, 6 ** 5)]
+ROW_LIMIT_IDS = ["transversal", "order3", "full"]
 
 
 class TestRowLimit:
-    """``_bulk.MAX_TABLE_ROWS`` is checked once, by each table builder before it
-    allocates, for class enumeration and all three scan functions alike."""
+    """``_bulk.MAX_TABLE_ROWS`` is checked once, by ``class_weight_stats`` before it
+    builds a table, for class enumeration and all three scan functions alike."""
 
-    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=["transversal", "full"])
+    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=ROW_LIMIT_IDS)
     def test_refused_before_any_table_is_built(self, monkeypatch, weights, rows):
         _clear_bulk_caches()
         monkeypatch.setattr(_bulk, "MAX_TABLE_ROWS", rows - 1)
@@ -437,7 +439,7 @@ class TestRowLimit:
             with pytest.raises(ValueError, match=message):
                 call()
 
-    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=["transversal", "full"])
+    @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=ROW_LIMIT_IDS)
     def test_table_at_the_limit_is_built(self, monkeypatch, weights, rows):
         _clear_bulk_caches()
         monkeypatch.setattr(_bulk, "MAX_TABLE_ROWS", rows)
@@ -445,16 +447,51 @@ class TestRowLimit:
         assert len(enumerate_classes(6, w)) == 6 ** 5 // w.order
         _clear_bulk_caches()
 
-    def test_full_table_refusal_at_n9(self):
-        # 9^8 rows; the limit admits only N = 9's transversal of 9^7 rows
-        w = WeightVector(9, (3, 3, 3) + (0,) * 6)
-        with pytest.raises(ValueError, match="needs 43046721 rows, over the limit of 25000000$"):
-            repeated_ht_scan(9, w)
+    def test_full_table_refusal_at_n9(self, monkeypatch):
+        # N = 9 is admitted only when gcd(N, W) = 1 (9^7 rows); (3,3,3,0,...,0) has
+        # ord(W) = 3, so 3 * 9^7 rows, and (9,0,...,0) has the full 9^8
+        _clear_bulk_caches()
+
+        def no_table(*args):
+            raise AssertionError("a table was allocated past the row limit")
+
+        monkeypatch.setattr(_bulk, "_sum_constrained_rows", no_table)
+        for weights, rows in [((3, 3, 3) + (0,) * 6, 14348907), ((9,) + (0,) * 8, 43046721)]:
+            with pytest.raises(ValueError, match=f"needs {rows} rows, over the limit of 10000000$"):
+                repeated_ht_scan(9, WeightVector(9, weights))
+
+    def test_unit_weight_at_n9_is_admitted(self, monkeypatch):
+        # 9^7 rows pass the row check; stop at the table builder, before the sweep
+        _clear_bulk_caches()
+
+        class Built(Exception):
+            pass
+
+        def sentinel(*args):
+            raise Built
+
+        monkeypatch.setattr(_bulk, "_sum_constrained_rows", sentinel)
+        for weights in [(1,) * 9, (3, 3, 2) + (0,) * 5 + (1,)]:
+            with pytest.raises(Built):
+                _bulk.class_weight_stats(9, weights)
 
 
-def _compositions(n):
-    """Every weight vector of length n: non-negative entries summing to n."""
-    return [w for w in product(range(n + 1), repeat=n) if sum(w) == n]
+def _compositions(n, length=None):
+    """Every weight vector at N = n, in lex order: `length` (default n)
+    non-negative entries summing to n."""
+    length = n if length is None else length
+    if length == 1:
+        return [(n,)]
+    return [(head,) + tail for head in range(n + 1) for tail in _compositions(n - head, length - 1)]
+
+
+def test_transversal_coordinate_exists():
+    # the sweep's premise: some entry w_j has gcd(w_j, N) = gcd(N, W); for larger N it
+    # can fail (N = 30, W = (3, 2, 25, 0, ...)), but the row limit refuses those first
+    for n in range(1, 10):
+        for weights in _compositions(n):
+            g = gcd(n, *weights)
+            assert any(gcd(w, n) == g for w in weights), (n, weights)
 
 
 # every W at N <= 5, and a fixed sample at N = 6, 7 covering ord(W) = 1, 2, 3, N
@@ -519,8 +556,9 @@ def _class_of_oracle(n, weights):
 class TestSweepOracle:
     """The column-major sweep behind enumerate_classes against plain-Python class_of.
 
-    The cases cover the transversal path (some gcd(w_j, N) = 1), the
-    full-table fallback (none), and weights of order ord(W) < N.
+    The cases cover transversals {v : v_j < gcd(N, W)} at the first
+    coordinate (j = 0) and past it, from N^(N-2) rows (a unit entry) to the
+    full table (W = 0 mod N).
     """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -532,7 +570,8 @@ class TestSweepOracle:
     @pytest.mark.parametrize(
         "n,weights",
         [(6, (1,) * 6), (6, (2, 2, 2, 0, 0, 0)), (6, (3, 3, 0, 0, 0, 0)),
-         (6, (6, 0, 0, 0, 0, 0)), (7, (7, 0, 0, 0, 0, 0, 0))],
+         (6, (6, 0, 0, 0, 0, 0)), (7, (7, 0, 0, 0, 0, 0, 0)),
+         (6, (2, 0, 0, 0, 3, 1)), (6, (0, 0, 4, 0, 2, 0))],
     )
     def test_larger_moduli(self, n, weights):
         reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
