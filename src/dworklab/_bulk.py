@@ -13,7 +13,9 @@ the classes are enumerated directly from the transversal {v : v_j < g} of
 N^(N-1)/ord(W) rows: N^(N-2) when some weight is a unit, the full table
 when W = 0 mod N.  Tables are column-major, uint8 of shape (N, rows), and
 ``class_weight_stats`` sweeps one once per (N, W); class enumeration and
-the repeated-weight scan both read that sweep.
+the repeated-weight scan both read that sweep.  It takes ord(W) shifts:
+for k < ord(W) the members v + kW are pairwise distinct, and the N indexed
+members are those ord(W) repeated g times.
 
 ``class_weight_stats`` checks the one row limit, ``_check_rows``, before it
 looks for j or builds a table: it admits every W at N <= 8 and N = 9 when
@@ -28,7 +30,8 @@ import numpy as np
 
 # one check (_check_rows) counts the classes, N^(N-1)/ord(W), one row each: every W
 # at N <= 8 (at most 8^7 rows) and N = 9 with g = 1 (9^7) fit; N = 9 with g = 3
-# (3 * 9^7 rows, a sweep of about 1.3 GB) and every W at N >= 10 do not
+# (3 * 9^7 rows; from the dtypes, its 3 shifts peak at 54 bytes a row while they
+# are sorted, about 0.8 GB) and every W at N >= 10 do not
 MAX_TABLE_ROWS = 10_000_000
 
 
@@ -69,11 +72,6 @@ def code_dtype(modulus: int) -> type:
     return np.int32 if modulus ** modulus <= 2 ** 31 else np.int64
 
 
-def decode(code: int, modulus: int) -> tuple[int, ...]:
-    n = modulus
-    return tuple(int(code // n ** (n - 1 - i)) % n for i in range(n))
-
-
 def decode_many(codes: np.ndarray, modulus: int) -> list[tuple[int, ...]]:
     n = modulus
     rows = np.empty((len(codes), n), dtype=np.int64)
@@ -104,12 +102,12 @@ def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
 
 
 def class_weight_stats(modulus: int, weight: tuple[int, ...]):
-    """One sweep over the N coset members of every class of (N, W).
+    """One sweep over the ord(W) distinct coset members of every class of (N, W).
 
     Returns (codes, tnz, lift, member): the sorted canonical (least member)
-    codes, one per class, and three (N, n_classes) arrays whose entry [k, c]
-    describes member v_c + kW of class c: totally nonzero (bool), lift sum
-    (int16) and code (``code_dtype(N)``, as ``codes``).  The row limit is
+    codes, one per class, and three (ord(W), n_classes) arrays whose entry
+    [k, c] describes member v_c + kW of class c: totally nonzero (bool), lift
+    sum (int16) and code (``code_dtype(N)``, as ``codes``).  The row limit is
     checked first.  v_c is class c's one member in the transversal
     {v : v_j < g} (see the module docstring), which is its least member
     whenever w_j is W's first entry nonzero mod N.  The table is stepped by W
@@ -119,16 +117,18 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...]):
     """
     n = modulus
     g = gcd(n, *weight)
-    _check_rows(n, n ** (n - 1) // (n // g))
+    order = n // g
+    _check_rows(n, n ** (n - 1) // order)
     j = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
     table = _transversal_table(n, j, g)
 
     step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
     vec, below = table.copy(), np.empty_like(table)
-    tnz = np.empty(table.shape, dtype=bool)
-    lift = np.empty(table.shape, dtype=np.int16)
-    member = np.empty(table.shape, dtype=code_dtype(n))
-    for k in range(n):
+    shape = (order, table.shape[1])
+    tnz = np.empty(shape, dtype=bool)
+    lift = np.empty(shape, dtype=np.int16)
+    member = np.empty(shape, dtype=code_dtype(n))
+    for k in range(order):
         if k:
             vec += step
             # entries lie in 0..2N-2, and below N the uint8 vec - N wraps past them
@@ -159,14 +159,6 @@ def canonical_class_codes(modulus: int, weight: tuple[int, ...]) -> np.ndarray:
     return class_weight_stats(modulus, weight)[0]
 
 
-def _first_members(member: np.ndarray) -> np.ndarray:
-    """Whether member k of a class differs from all its members k' < k."""
-    first = np.ones(member.shape, dtype=bool)
-    for k in range(1, member.shape[0]):
-        first[k] = (member[:k] != member[k]).all(axis=0)
-    return first
-
-
 def _sort_columns(table: np.ndarray) -> None:
     """Sort every column in place by odd-even transposition.
 
@@ -188,22 +180,23 @@ class RepeatScan:
     ``codes`` are the sorted canonical codes of the classes whose weight
     multiset has a repeat; membership queries need nothing else, so the
     report fields are left to ``report_fields``.  The other arrays have one
-    column per class, in code order: ``flag`` marks the flagged classes,
+    column per class, in code order: ``flag`` marks the flagged classes, and
     column j of ``weights`` holds class j's counted weights ascending and
-    then N for its other members (int8), and ``tnz``/``member`` are those of
-    ``class_weight_stats`` (bool, and ``code_dtype(N)`` like ``codes``).
-    All arrays are read-only.
+    then N for its other members (int8; N rows, or ord(W) under set
+    semantics).  All arrays are read-only.  The indexed multiset is the set
+    one repeated g times and a flagged class has a weight, so the two differ
+    for every flagged class when g > 1 and for none when g = 1: that is
+    ``divergent``.
     """
 
     modulus: int
     codes: np.ndarray
     flag: np.ndarray
     weights: np.ndarray
-    tnz: np.ndarray
-    member: np.ndarray
+    divergent: bool
 
     def __post_init__(self):
-        for array in (self.codes, self.flag, self.weights, self.tnz, self.member):
+        for array in (self.codes, self.flag, self.weights):
             array.flags.writeable = False
 
     def report_fields(self):
@@ -216,20 +209,19 @@ class RepeatScan:
         """
         n = self.modulus
         weights = self.weights.compress(self.flag, axis=1)
+        if len(weights) < n:  # set semantics, g > 1: rows keep width N
+            weights = np.pad(weights, ((0, n - len(weights)), (0, 0)), constant_values=n)
         repeat = (weights[1:] == weights[:-1]) & (weights[1:] < n)
         # walking up a sorted column, the last repeat met is at the least repeated value
         value = np.full(weights.shape[1], n, dtype=np.int8)
         for k in reversed(range(n - 1)):
             np.copyto(value, weights[k], where=repeat[k])
-        # the indexed multiset is the set one plus the weights of repeated members
-        tnz = self.tnz.compress(self.flag, axis=1)
-        first = _first_members(self.member.compress(self.flag, axis=1))
         return (
             weights.T,
             (weights < n).sum(axis=0),
             value,
             (weights == value).sum(axis=0),
-            (tnz & ~first).any(axis=0),
+            np.full(weights.shape[1], self.divergent),
         )
 
 
@@ -237,18 +229,21 @@ class RepeatScan:
 def repeat_scan(modulus: int, weight: tuple[int, ...], indexed: bool) -> RepeatScan:
     """The exhaustive repeated-weight scan over every class of (N, W).
 
-    Under indexed semantics all N totally nonzero coset members count, so
-    coinciding members with equal weights make a repeat; under set
-    semantics member k counts only when its code differs from the codes of
-    all members k' < k.
+    The sweep's ord(W) rows are each class's distinct members, which set
+    semantics counts.  Indexed semantics counts all N members v + kW, each
+    distinct one g times, so its sorted weights are the sorted set weights
+    with every row repeated g times.
     """
     n = modulus
-    codes, tnz, lift, member = class_weight_stats(modulus, weight)
+    codes, tnz, lift = class_weight_stats(modulus, weight)[:3]
+    g = n // len(tnz)
     lift //= n
     lift -= 1
     weights = lift.astype(np.int8)
     del lift
-    np.putmask(weights, ~(tnz if indexed else tnz & _first_members(member)), n)
+    np.putmask(weights, ~tnz, n)
     _sort_columns(weights)
+    if indexed and g > 1:
+        weights = np.repeat(weights, g, axis=0)
     flag = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)
-    return RepeatScan(n, codes.compress(flag), flag, weights, tnz, member)
+    return RepeatScan(n, codes.compress(flag), flag, weights, g > 1)

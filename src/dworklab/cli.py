@@ -142,6 +142,11 @@ def _class_row(cls: CharClass) -> dict:
     }
 
 
+def _indexed_row(cls: CharClass) -> dict:
+    """``_class_row`` plus the indexed weights, for hodge rows that list both semantics."""
+    return {**_class_row(cls), "weights_indexed": list(hodge_data(cls, "indexed").weights)}
+
+
 def _classical_table(classes, weight: WeightVector) -> dict:
     """One row per zero-dominant form, sorted by form, each with its orbit normal form."""
     rows = {}
@@ -181,22 +186,17 @@ def cmd_hodge(args) -> ReportDocument:
     warnings: list[str] = []
     if args.v is not None:
         cls = _class_from_v(args.N, weight, args.v)
-        row = _class_row(cls)
-        row["coset"] = [_entries(m) for m in coset_elements(cls)]
-        row["weights_indexed"] = list(hodge_data(cls, "indexed").weights)
-        payload = row
+        payload = {**_indexed_row(cls), "coset": [_entries(m) for m in coset_elements(cls)]}
     elif weight.classical:
         payload = {
             "rows": list(_classical_table(enumerate_classes(args.N, weight), weight).values()),
             "total_dimension": total_dimension(args.N, weight),
         }
     else:
-        table = []
-        for cls in enumerate_classes(args.N, weight):
-            row = _class_row(cls)
-            row["weights_indexed"] = list(hodge_data(cls, "indexed").weights)
-            table.append(row)
-        payload = {"rows": table, "total_dimension": total_dimension(args.N, weight)}
+        payload = {
+            "rows": [_indexed_row(cls) for cls in enumerate_classes(args.N, weight)],
+            "total_dimension": total_dimension(args.N, weight),
+        }
         warnings.append(
             "set and indexed weight multisets can differ for non-classical weights; both are listed"
         )

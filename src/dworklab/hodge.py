@@ -25,8 +25,11 @@ in numpy.  ``repeated_ht_scan``, ``repeated_class_representatives`` and
 checks (N, W, semantics) once.  The sweep behind it reads one transversal
 of N^(N-1)/ord(W) zero-sum vectors, one per class, for every W, and checks
 the one row limit, ``_bulk.MAX_TABLE_ROWS``, before it builds that table.
-Each report's fields (sorted weights, least repeated value, multiplicity,
-set/indexed divergence) come from that result's arrays.  Its classes are
+It steps each class through its ord(W) distinct members; the indexed
+weights are the set weights repeated g = N/ord(W) times, so every report
+of a scan is set/indexed divergent when g > 1 and none is when g = 1.
+Each report's other fields (sorted weights, least repeated value,
+multiplicity) come from that result's arrays.  Its classes are
 built by ``characters._trusted_class``, the constructor ``class_of`` and
 ``enumerate_classes`` share, without ``CharClass``'s per-class
 re-canonicalisation: the sweep's codes are those of canonical (least)
@@ -88,8 +91,7 @@ class HodgeData:
     semantics: str
 
     def __post_init__(self):
-        if self.semantics not in ("set", "indexed"):
-            raise ValueError(f"semantics must be 'set' or 'indexed', got {self.semantics!r}")
+        _check_semantics(self.semantics)
         if self.dimension != len(self.weights):
             raise ValueError("dimension must equal the number of weights")
         if any(not (0 <= w <= self.modulus - 2) for w in self.weights):

@@ -148,7 +148,7 @@ class TestWitness:
         assert any(w.startswith("scan skipped: ") for w in doc["warnings"])
 
     def test_n9_order3_scan_refused_under_memory_cap(self):
-        # (3,3,3,0,...,0) at N = 9 has 3 * 9^7 classes, a sweep of about 1.3 GB;
+        # (3,3,3,0,...,0) at N = 9 has 3 * 9^7 classes, a sweep of about 0.8 GB;
         # run apart under a 1 GiB address-space cap, so that admitting it fails
         # here instead of exhausting the machine's memory
         resource = pytest.importorskip("resource")
@@ -395,6 +395,11 @@ PINNED_OUTPUTS = {
         "48319d233c9d8ce8711e1c75ed73a08ca61121e2e79f2628a20b826dd5ad4a0a",
     ("witness", "--N", "7", "--W", "7,0,0,0,0,0,0"):
         "55549bc043d1318101b6c16a4a98acfab40d81e47c50011bf358b697f4c1beb5",
+    # ord(W) = 3 and 2: g > 1, so every scanned report is divergent
+    ("witness", "--N", "6", "--W", "2,2,2,0,0,0"):
+        "6f0d4bca925bd61704c3f430dfc67d263c9c682078143be31e6f7710890aca93",
+    ("witness", "--N", "6", "--W", "3,3,0,0,0,0"):
+        "d97f1067178a7f9e871389155fc5203869270714f399e8bdb5ca60e4a2f13625",
 }
 
 

@@ -583,16 +583,21 @@ class TestSweepOracle:
          (6, (3, 3, 0, 0, 0, 0)), (6, (4, 2, 0, 0, 0, 0))],
     )
     def test_member_arrays(self, n, weights):
-        # column j, row k describes v_j + kW for the canonical representative v_j
+        # column j, row k describes v_j + kW for the canonical representative v_j, and
+        # the ord(W) rows are the class's distinct members: v_j + ord(W) W = v_j
         codes, tnz, lift, member = _bulk.class_weight_stats(n, weights)
+        order = WeightVector(n, weights).order
+        assert member.shape == tnz.shape == lift.shape == (order, len(codes))
         assert lift.dtype == np.int16 and tnz.dtype == bool
         reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
-        assert [_bulk.decode(int(c), n) for c in codes] == reps
+        assert _bulk.decode_many(codes, n) == reps
         for j, rep in enumerate(reps):
-            shifts = [tuple((e + k * w) % n for e, w in zip(rep, weights)) for k in range(n)]
-            assert member[:, j].tolist() == [_bulk.encode_one(u, n) for u in shifts]
-            assert tnz[:, j].tolist() == [all(u) for u in shifts]
-            assert lift[:, j].tolist() == [sum(u) for u in shifts]
+            shifts = [tuple((e + k * w) % n for e, w in zip(rep, weights)) for k in range(order + 1)]
+            assert shifts[order] == rep
+            assert len(set(member[:, j].tolist())) == order
+            assert member[:, j].tolist() == [_bulk.encode_one(u, n) for u in shifts[:order]]
+            assert tnz[:, j].tolist() == [all(u) for u in shifts[:order]]
+            assert lift[:, j].tolist() == [sum(u) for u in shifts[:order]]
 
     def test_member_codes_fit_their_dtype(self):
         # the largest code is that of (N-1, ..., N-1), a member of some class
@@ -600,7 +605,7 @@ class TestSweepOracle:
         codes, _, _, member = _bulk.class_weight_stats(n, (1,) * n)
         assert member.dtype == codes.dtype == _bulk.code_dtype(n) == np.int32
         assert int(member.max()) == n ** n - 1
-        assert _bulk.decode(int(member.max()), n) == (n - 1,) * n
+        assert _bulk.decode_many(np.array([member.max()]), n) == [(n - 1,) * n]
         # the largest modulus the default row limit admits (a transversal)
         top = max(m for m in range(3, 16) if m ** (m - 2) <= _bulk.MAX_TABLE_ROWS)
         assert top == 9
