@@ -128,6 +128,16 @@ def _entries(v) -> list[int]:
     return list(v.entries if isinstance(v, (ResidueVector, WeightVector)) else v)
 
 
+def _vec(v) -> str:
+    """A vector as text: (a,b,c)."""
+    return "(" + ",".join(map(str, v)) + ")"
+
+
+def _multiset(weights) -> str:
+    """A weight multiset as text: {a,b,c}."""
+    return "{" + ",".join(map(str, weights)) + "}"
+
+
 # ---------------------------------------------------------------------------
 # payload builders
 
@@ -181,6 +191,16 @@ def cmd_classes(args) -> ReportDocument:
     return ReportDocument("classes", [], args.N, weight.entries, payload)
 
 
+def _text_classes(p: dict) -> list[str]:
+    if "orbits" not in p:
+        return [f"{p['count']} classes"] + [f"  {_vec(c)}" for c in p["classes"]]
+    lines = [f"{p['orbit_count']} orbits over {p['count']} classes"]
+    for orb in p["orbits"]:
+        lines.append(f"  orbit {_vec(orb['normal_form'])}  size {orb['size']}")
+        lines.extend(f"    {_vec(c)}" for c in orb["classes"])
+    return lines
+
+
 def cmd_hodge(args) -> ReportDocument:
     weight = _weight_from_args(args.N, args.W)
     warnings: list[str] = []
@@ -201,6 +221,21 @@ def cmd_hodge(args) -> ReportDocument:
             "set and indexed weight multisets can differ for non-classical weights; both are listed"
         )
     return ReportDocument("hodge", [], args.N, weight.entries, payload, warnings)
+
+
+def _text_hodge(p: dict) -> list[str]:
+    if "rows" in p:
+        lines = [f"  {_vec(row['representative'])}  dim {row['dimension']}  "
+                 f"weights {_multiset(row['weights'])}" for row in p["rows"]]
+        return lines + [f"total dimension {p['total_dimension']}"]
+    return [
+        f"class {_vec(p['representative'])}",
+        f"  dimension {p['dimension']}  weights {_multiset(p['weights'])}",
+        "  totally nonzero representatives:",
+        *(f"    {_vec(m)}" for m in p["totally_nonzero"]),
+        "  coset:",
+        *(f"    {_vec(m)}" for m in p["coset"]),
+    ]
 
 
 def _witness_dict(report) -> dict:
@@ -260,23 +295,37 @@ def cmd_witness(args) -> ReportDocument:
     return ReportDocument("witness", [], args.N, weight.entries, payload, warnings)
 
 
+def _text_witness(p: dict) -> list[str]:
+    w = p["constructed"]
+    if w:
+        lines = [f"constructed witness {_vec(w['class'])}: value {w['repeated_value']} "
+                 f"x{w['multiplicity']} in weights {_multiset(w['weights'])}"]
+    else:
+        lines = [f"no constructed witness: {p['construction_error']}"]
+    scan = p.get("scan", {})
+    if scan.get("checked"):
+        lines.append(f"scan: {scan['repeated_class_count']} repeated-weight classes")
+        agreement = p.get("agreement")
+        if agreement is not None:
+            lines.append(f"agreement: {'yes' if agreement else 'NO'}")
+    return lines
+
+
 def _fiber_dict(fc, weight: WeightVector) -> dict:
     q, n = fc.spec.field.q, fc.spec.N
-    out = {
+    return {
         "p": fc.spec.field.p,
         "m": fc.spec.field.m,
         "q": q,
         "t": fc.spec.t,
         "projective_count": fc.projective_count,
         "strategy": fc.strategy,
+        "trace": fc.trace,
+        "lefschetz_identity_ok": int(
+            fc.projective_count == sum(q ** j for j in range(n - 1)) + (-1) ** n * fc.trace
+        ),
+        "weil_bound_ok": int(weil_bound_ok(fc.trace, q, n, weight)),
     }
-    if fc.trace is not None:
-        out["trace"] = fc.trace
-        out["lefschetz_identity_ok"] = int(
-            fc.projective_count + fc.trace == sum(q ** j for j in range(n - 1))
-        )
-        out["weil_bound_ok"] = int(weil_bound_ok(fc.trace, q, n, weight))
-    return out
 
 
 def cmd_count(args) -> ReportDocument:
@@ -324,6 +373,15 @@ def cmd_count(args) -> ReportDocument:
     return ReportDocument("count", [], args.N, weight.entries, payload, warnings)
 
 
+def _text_count(p: dict) -> list[str]:
+    return [
+        f"q={f['q']} t={f['t']} [{f['strategy']}]  points {f['projective_count']}"
+        f"  trace {f['trace']}  lefschetz {'ok' if f['lefschetz_identity_ok'] else 'FAIL'}  "
+        f"weil {'ok' if f['weil_bound_ok'] else 'FAIL'}"
+        for f in p["fibers"]
+    ]
+
+
 def cmd_report(args) -> ReportDocument:
     n = 5
     weight = classical_weight(n)
@@ -362,78 +420,37 @@ def cmd_report(args) -> ReportDocument:
     return ReportDocument("report", [], n, weight.entries, payload, warnings)
 
 
+def _text_report(p: dict) -> list[str]:
+    lines = [f"{p['class_count']} classes, {p['table_row_count']} table rows, "
+             f"{p['orbit_count']} orbits, total dimension {p['total_dimension']}"]
+    lines.extend(
+        f"  {_vec(row['representative'])}  dim {row['dimension']}  "
+        f"weights {_multiset(row['weights'])}  "
+        f"dual {_vec(row['dual'])}  orbit {_vec(row['orbit_normal_form'])}"
+        for row in p["class_table"]
+    )
+    lines.append("census: " + ", ".join(
+        f"dim {d}: {c}" for d, c in p["dimension_census"].items()))
+    return lines
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
 
+_TEXT = {
+    "classes": _text_classes,
+    "hodge": _text_hodge,
+    "witness": _text_witness,
+    "count": _text_count,
+    "report": _text_report,
+}
+
+
 def _render_text(doc: ReportDocument) -> str:
     lines = [f"# dworklab {__version__} -- {doc.command} (N={doc.N}, W={list(doc.W)})"]
-    for warning in doc.warnings:
-        lines.append(f"! {warning}")
-
-    def vec(v):
-        return "(" + ",".join(map(str, v)) + ")"
-
-    p = doc.payload
-    if doc.command == "classes":
-        if "orbits" in p:
-            lines.append(f"{p['orbit_count']} orbits over {p['count']} classes")
-            for orb in p["orbits"]:
-                lines.append(f"  orbit {vec(orb['normal_form'])}  size {orb['size']}")
-                for c in orb["classes"]:
-                    lines.append(f"    {vec(c)}")
-        else:
-            lines.append(f"{p['count']} classes")
-            lines.extend(f"  {vec(c)}" for c in p["classes"])
-    elif doc.command == "hodge":
-        if "rows" in p:
-            for row in p["rows"]:
-                lines.append(
-                    f"  {vec(row['representative'])}  dim {row['dimension']}  "
-                    f"weights {{{ ','.join(map(str, row['weights'])) }}}"
-                )
-            lines.append(f"total dimension {p['total_dimension']}")
-        else:
-            lines.append(f"class {vec(p['representative'])}")
-            lines.append(f"  dimension {p['dimension']}  weights {{{ ','.join(map(str, p['weights'])) }}}")
-            lines.append("  totally nonzero representatives:")
-            lines.extend(f"    {vec(m)}" for m in p["totally_nonzero"])
-            lines.append("  coset:")
-            lines.extend(f"    {vec(m)}" for m in p["coset"])
-    elif doc.command == "witness":
-        if p["constructed"]:
-            w = p["constructed"]
-            lines.append(
-                f"constructed witness {vec(w['class'])}: value {w['repeated_value']} "
-                f"x{w['multiplicity']} in weights {{{ ','.join(map(str, w['weights'])) }}}"
-            )
-        else:
-            lines.append(f"no constructed witness: {p['construction_error']}")
-        scan = p.get("scan", {})
-        if scan.get("checked"):
-            lines.append(f"scan: {scan['repeated_class_count']} repeated-weight classes")
-            agreement = p.get("agreement")
-            if agreement is not None:
-                lines.append(f"agreement: {'yes' if agreement else 'NO'}")
-    elif doc.command == "count":
-        for f in p["fibers"]:
-            base = (f"q={f['q']} t={f['t']} [{f['strategy']}]  points {f['projective_count']}")
-            if "trace" in f:
-                base += (f"  trace {f['trace']}  lefschetz "
-                         f"{'ok' if f['lefschetz_identity_ok'] else 'FAIL'}  "
-                         f"weil {'ok' if f['weil_bound_ok'] else 'FAIL'}")
-            lines.append(base)
-    elif doc.command == "report":
-        lines.append(f"{p['class_count']} classes, {p['table_row_count']} table rows, "
-                     f"{p['orbit_count']} orbits, total dimension {p['total_dimension']}")
-        for row in p["class_table"]:
-            lines.append(
-                f"  {vec(row['representative'])}  dim {row['dimension']}  "
-                f"weights {{{ ','.join(map(str, row['weights'])) }}}  "
-                f"dual {vec(row['dual'])}  orbit {vec(row['orbit_normal_form'])}"
-            )
-        lines.append("census: " + ", ".join(
-            f"dim {d}: {c}" for d, c in p["dimension_census"].items()))
+    lines.extend(f"! {warning}" for warning in doc.warnings)
+    lines.extend(_TEXT[doc.command](doc.payload))
     return "\n".join(lines) + "\n"
 
 

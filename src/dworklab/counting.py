@@ -4,12 +4,19 @@ The fiber Y_t is the projective hypersurface
 
     x_1^N + ... + x_N^N = N t x_1^{w_1} ... x_N^{w_N}   in P^{N-1}(F_q),
 
-smooth whenever t^N != 1 and gcd(q, N) = 1.  For odd N all cohomology off
-the middle degree is one Tate class per even degree, so
+for gcd(q, N) = 1 and g = gcd(N, w_1, ..., w_N), smooth exactly when
 
-    #Y_t(F_q) = 1 + q + ... + q^{N-2} - a_q
+    t^(N/g) * prod_{w_i > 0} w_i^(w_i/g) != 1   in F_q,
 
-and the point count determines the middle trace a_q exactly.
+which is t^N != 1 for the classical weight.  Off the primitive middle
+cohomology there is one Tate class per even degree 0, 2, ..., 2(N-2) (for
+even N the one in the middle degree is the power of the hyperplane class),
+so the Lefschetz trace formula reads
+
+    #Y_t(F_q) = 1 + q + ... + q^{N-2} + (-1)^N Tr(Frob | H^{N-2}_prim)
+
+and the point count determines the middle trace exactly, for every N
+(`middle_trace`).  For odd N it is a_q in #Y = 1 + ... + q^{N-2} - a_q.
 
 Two counters are provided and must agree.  Both read the same field
 tables: logs over a generator, with Zech logs for addition
@@ -79,7 +86,7 @@ _BUILD_BLOCK = 1 << 16  # exp entries computed per vector step
 
 
 class SmoothnessError(ValueError):
-    """t^N = 1: the fiber is outside the smooth locus."""
+    """The fiber is outside the smooth locus (t^N = 1 for the classical weight)."""
 
 
 class CharacteristicError(ValueError):
@@ -452,7 +459,15 @@ def field_make(p: int, m: int) -> FiniteField:
 
 @dataclass(frozen=True, slots=True)
 class FiberSpec:
-    """One fiber Y_t of the degree-N family over a finite field."""
+    """One fiber Y_t of the degree-N family over a finite field.
+
+    Refused unless gcd(q, N) = 1 and the fiber is smooth.  A singular point
+    has x_i = 0 where w_i = 0 and x_i^N = t w_i x^W != 0 elsewhere.  N-th
+    roots y_i of t w_i fix the monomial prod y_i^(w_i) up to mu_(N/g),
+    g = gcd(N, W), and a singular point needs it to be 1; so singular
+    points exist over the algebraic closure exactly when
+    t^(N/g) prod_{w_i > 0} w_i^(w_i/g) = 1.
+    """
 
     N: int
     weight: WeightVector
@@ -468,10 +483,14 @@ class FiberSpec:
             )
         if not (0 <= self.t < self.field.q):
             raise ValueError(f"t must be an element index in 0..{self.field.q - 1}, got {self.t}")
-        if self.field.pow(self.t, self.N) == 1:
+        g = self.N // self.weight.order
+        value = self.field.pow(self.t, self.N // g)
+        for w in self.weight.entries:
+            value = self.field.mul(value, self.field.pow(w % self.field.p, w // g))
+        if value == 1:
             raise SmoothnessError(
-                f"t = {self.t} has t^{self.N} = 1 in {self.field}; the fiber is singular "
-                "(smooth locus requires t^N != 1)"
+                f"t = {self.t} has t^{self.N // g} * prod w_i^(w_i/{g}) = 1 in {self.field}; "
+                "the fiber is singular (smooth locus requires it != 1)"
             )
 
     @property
@@ -488,7 +507,7 @@ class FiberCount:
 
     spec: FiberSpec
     projective_count: int
-    trace: int | None
+    trace: int
     strategy: str
     # wall time of the count; not part of the result, so equal counts compare equal
     elapsed: float = dc_field(compare=False)
@@ -500,13 +519,12 @@ def candidate_count(q: int, N: int) -> int:
 
 
 def middle_trace(count: int, q: int, N: int) -> int:
-    """a_q from the point count: sum_{j<N-1} q^j - count (odd N only)."""
-    if N % 2 == 0:
-        raise CapabilityError(
-            "middle trace extraction needs an odd-dimensional fiber (odd N); even "
-            "middle cohomology carries an extra diagonal class with its own sign conventions"
-        )
-    return sum(q ** j for j in range(N - 1)) - count
+    """Trace of Frobenius on primitive middle cohomology: (-1)^N (count - sum_{j<N-1} q^j).
+
+    For odd N this is a_q in count = 1 + q + ... + q^(N-2) - a_q; for even N
+    the Tate class in the middle degree is part of the sum.
+    """
+    return (-1) ** N * (count - sum(q ** j for j in range(N - 1)))
 
 
 def weil_bound_ok(trace: int, q: int, N: int, weight: WeightVector | None = None) -> bool:
@@ -668,7 +686,7 @@ def count_projective_naive(
     total = 0
     for lead in range(N):
         total += _count_stratum(spec, lead, workers)
-    trace = middle_trace(total, q, N) if N % 2 == 1 else None
+    trace = middle_trace(total, q, N)
     return FiberCount(spec, total, trace, "naive", time.perf_counter() - started)
 
 
@@ -842,7 +860,7 @@ def count_projective_fast(
 
     torus = _split_sum(sweep, len(lout), workers)
     total = _zero_stratum(field, N) + d ** (N - 2) * torus
-    trace = middle_trace(total, q, N) if N % 2 == 1 else None
+    trace = middle_trace(total, q, N)
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)
 
 

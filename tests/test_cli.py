@@ -179,6 +179,28 @@ class TestCount:
             code, _, _ = run(["count", "--N", "5", "--p", "11", "--t", str(t)], capsys)
             assert code == 3, t
 
+    def test_nonclassical_cone_exits_3(self, capsys):
+        # W = (3,0,0) over F_7: t = 5 makes (1-3t)x^3 + y^3 + z^3 = 0 a cone,
+        # while t = 1 gives a smooth cubic within the Weil bound
+        code, out, err = run(["count", "--N", "3", "--W", "3,0,0", "--p", "7", "--t", "5",
+                              "--format", "text"], capsys)
+        assert code == 3 and out == ""
+        assert "singular" in err
+        doc = run_json(["count", "--N", "3", "--W", "3,0,0", "--p", "7", "--t", "1"], capsys)
+        fiber = doc["payload"]["fibers"][0]
+        assert fiber["weil_bound_ok"] == 1 and fiber["lefschetz_identity_ok"] == 1
+
+    def test_paper_fiber_has_trace(self, capsys):
+        # the P^5 member, N = 6, over F_13 at t = 2: -21131 = 7 mod 13, the
+        # Hasse-Witt residue
+        doc = run_json(["count", "--N", "6", "--p", "13", "--t", "2", "--strategy", "both"], capsys)
+        fibers = doc["payload"]["fibers"]
+        assert [f["strategy"] for f in fibers] == ["naive", "fast"]
+        for f in fibers:
+            assert (f["projective_count"], f["trace"]) == (9810, -21131)
+            assert f["lefschetz_identity_ok"] == 1 and f["weil_bound_ok"] == 1
+        assert doc["payload"]["strategies_agree"] == 1
+
     def test_bad_characteristic_exits_3(self, capsys):
         code, _, _ = run(["count", "--N", "5", "--p", "5", "--t", "2"], capsys)
         assert code == 3
@@ -266,7 +288,9 @@ class TestCount:
         assert [f["strategy"] for f in fibers] == ["fast", "fast"]
         doc = run_json(["count", "--N", "4", "--W", "2,2,0,0", "--p", "3", "--t", "0",
                         "--tower", "2"], capsys)
-        assert [f["strategy"] for f in doc["payload"]["fibers"]] == ["naive", "naive"]
+        fibers = doc["payload"]["fibers"]
+        assert [f["strategy"] for f in fibers] == ["naive", "naive"]
+        assert all(f["lefschetz_identity_ok"] == f["weil_bound_ok"] == 1 for f in fibers)
 
     def test_extension_coefficients(self, capsys):
         doc = run_json(["count", "--N", "5", "--p", "3", "--m", "2", "--t", "2,1"], capsys)
@@ -371,6 +395,8 @@ class TestInterface:
             ["count", "--N", "5", "--p", "11", "--t", "2", "--strategy", "both"],
             ["count", "--N", "5", "--p", "3", "--t", "2", "--tower", "2"],
             ["count", "--N", "5", "--p", "3", "--m", "2", "--t", "2", "--strategy", "both"],
+            ["count", "--N", "6", "--p", "13", "--t", "2", "--strategy", "both"],
+            ["count", "--N", "4", "--W", "2,2,0,0", "--p", "3", "--t", "0", "--tower", "2"],
             ["report"],
         ):
             doc = run_json(argv, capsys)
@@ -403,8 +429,29 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(PINNED_OUTPUTS), ids=" ".join)
+# sha256 of the --format text stdout, one argv per command, as printed when
+# one if-chain rendered every command
+PINNED_TEXT_OUTPUTS = {
+    ("classes", "--N", "5", "--orbits", "--format", "text"):
+        "44334c79921e12a64b56042eab0f999a0d80d79ca310b124d0c949617e3e2d28",
+    ("hodge", "--N", "5", "--format", "text"):
+        "18e4ddd5cd413c604171110439d24494590ec7135487b69c79ea02a00f804f88",
+    ("hodge", "--N", "5", "--v", "0,0,1,1,3", "--format", "text"):
+        "57490e1463c7cfb4cfe882b986caf821fef9cde6f2dcc868f251ae512605cf81",
+    ("witness", "--N", "6", "--format", "text"):
+        "2fed2698856dfc1f38533930377d51f3cf9c22e1f7901412e12e5c16b59fe1fe",
+    ("count", "--N", "5", "--p", "11", "--t", "2", "--strategy", "both", "--format", "text"):
+        "499459dc085ac1839ccd4a0c75137b4bfd820a396b8f20744ce123c80e39b703",
+    ("report", "--format", "text"):
+        "3b1e3d79d0769c00a5e89e7c2f4153493905d94ad07f2ebc62e954857326046a",
+}
+
+
+ALL_PINNED = {**PINNED_OUTPUTS, **PINNED_TEXT_OUTPUTS}
+
+
+@pytest.mark.parametrize("argv", sorted(ALL_PINNED), ids=" ".join)
 def test_output_bytes_pinned(argv, capsys):
     code, out, err = run(list(argv), capsys)
     assert code == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == ALL_PINNED[argv]

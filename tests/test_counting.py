@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from itertools import product
-from math import gcd
+from math import factorial, gcd
 
 import numpy as np
 import pytest
@@ -56,6 +56,35 @@ def brute_count(spec):
                     rhs = f.mul(rhs, f.pow(xi, w))
             total += lhs == rhs
     return total
+
+
+def _has_singular_point(n, weight, t, f):
+    """Whether F = sum x_i^N - N t x^W and all its partials vanish at some point of P^(N-1)(F_q)."""
+    c = f.mul(n % f.p, t)
+
+    def monomial(x, exponents):
+        out = c
+        for xi, e in zip(x, exponents):
+            out = f.mul(out, f.pow(xi, e))
+        return out
+
+    w = weight.entries
+    for lead in range(n):
+        for tail in product(range(f.q), repeat=n - 1 - lead):
+            x = (0,) * lead + (1,) + tail
+            value = f.neg(monomial(x, w))
+            for xi in x:
+                value = f.add(value, f.pow(xi, n))
+            if value:
+                continue
+            # dF/dx_i = N x_i^(N-1) - w_i N t x^(W - e_i)
+            if all(
+                f.sub(f.mul(n % f.p, f.pow(xi, n - 1)),
+                      f.mul(wi % f.p, monomial(x, w[:i] + (wi - 1,) + w[i + 1:])) if wi else 0) == 0
+                for i, (xi, wi) in enumerate(zip(x, w))
+            ):
+                return True
+    return False
 
 
 class TestPrimality:
@@ -243,6 +272,49 @@ class TestFiberSpec:
         with pytest.raises(CharacteristicError):
             FiberSpec(4, classical_weight(4), 3, field_make(2, 3))
 
+    def test_nonclassical_smooth_locus(self):
+        # W = (3,0,0), g = 3: singular exactly when 3t = 1; over F_7 that is
+        # t = 5, where (1-3t)x^3 + y^3 + z^3 = 0 is a cone, while t = 1 gives
+        # the smooth cubic 5x^3 + y^3 + z^3 = 0
+        f7 = field_make(7, 1)
+        w = WeightVector(3, (3, 0, 0))
+        with pytest.raises(SmoothnessError):
+            FiberSpec(3, w, 5, f7)
+        spec = FiberSpec(3, w, 1, f7)
+        fc = count_projective_naive(spec)
+        assert fc.projective_count == brute_count(spec)
+        assert weil_bound_ok(fc.trace, 7, 3, w)
+        # W = (2,2,0,0), g = 2: singular exactly when 4t^2 = 1, t = 3 and 4 over F_7
+        w = WeightVector(4, (2, 2, 0, 0))
+        for t in range(7):
+            if t in (3, 4):
+                with pytest.raises(SmoothnessError):
+                    FiberSpec(4, w, t, f7)
+            else:
+                FiberSpec(4, w, t, f7)
+
+    @pytest.mark.parametrize("n,q", [(3, 4), (3, 5), (3, 7), (4, 5), (4, 7)])
+    def test_smooth_locus_against_jacobian(self, n, q):
+        # every W and t: a singular F_q-point of the fiber, found by brute
+        # force, means the spec is refused; when q = 1 mod N the roots the
+        # singular points are built from lie in F_q, and a refusal means one exists
+        p = next(p for p in (2, 3, 5, 7) if q % p == 0)
+        field = field_make(p, 2 if q == 4 else 1)
+        for entries in product(range(n + 1), repeat=n):
+            if sum(entries) != n:
+                continue
+            weight = WeightVector(n, entries)
+            for t in range(q):
+                singular = _has_singular_point(n, weight, t, field)
+                try:
+                    FiberSpec(n, weight, t, field)
+                    refused = False
+                except SmoothnessError:
+                    refused = True
+                assert refused or not singular, (entries, t)
+                if (q - 1) % n == 0:
+                    assert refused == singular, (entries, t)
+
     def test_bad_reduction_note(self):
         assert FiberSpec(5, W5, 2, field_make(3, 1)).notes
         assert not FiberSpec(5, W5, 2, field_make(11, 1)).notes
@@ -296,10 +368,14 @@ class TestNaiveCounter:
             count_projective_naive(spec, budget=10_000)
         assert err.value.required == candidate_count(101, 5)
 
-    def test_even_n_has_no_trace(self):
+    def test_even_n_trace_is_primitive(self):
+        # even N: the Tate class in the middle degree is inside 1 + q + q^2,
+        # and the trace is on the 21-dimensional primitive part
         spec = FiberSpec(4, classical_weight(4), 3, field_make(7, 1))
         fc = count_projective_naive(spec)
-        assert fc.trace is None and fc.projective_count >= 0
+        assert fc.trace == middle_trace(fc.projective_count, 7, 4)
+        assert fc.projective_count == 1 + 7 + 49 + fc.trace
+        assert weil_bound_ok(fc.trace, 7, 4)
 
     def test_equal_counts_compare_equal(self):
         # the wall time a count took is not part of its result
@@ -320,7 +396,7 @@ class TestNaiveOuterLoop:
             field = field_make(p, m)
             if gcd(field.q, n) != 1:
                 continue
-            smooth = _smooth_params(field, n)
+            smooth = _smooth_params(field, weight)
             for t in (smooth[0], smooth[1], smooth[-1]):  # t = 0, and live monomials
                 spec = FiberSpec(n, weight, t, field)
                 assert count_projective_naive(spec, workers=workers).projective_count == \
@@ -357,7 +433,7 @@ class TestFastCounter:
             assert naive.trace == fast.trace
 
     def test_requires_classical(self):
-        spec = FiberSpec(4, WeightVector(4, (2, 2, 0, 0)), 3, field_make(7, 1))
+        spec = FiberSpec(4, WeightVector(4, (2, 2, 0, 0)), 2, field_make(7, 1))
         with pytest.raises(CapabilityError):
             count_projective_fast(spec)
 
@@ -395,8 +471,14 @@ EXTENSION_CASES = [
 ]
 
 
-def _smooth_params(field, n):
-    return [t for t in range(field.q) if field.pow(t, n) != 1]
+def _smooth_params(field, weight):
+    """Every t with t^(N/g) prod_{w_i > 0} w_i^(w_i/g) != 1 in the field, g = gcd(N, W)."""
+    n = weight.modulus
+    g = gcd(n, *weight.entries)
+    c = 1
+    for w in weight.entries:
+        c = c * pow(w, w // g) % field.p
+    return [t for t in range(field.q) if field.mul(field.pow(t, n // g), c) != 1]
 
 
 def _admissible(max_candidates):
@@ -413,7 +495,7 @@ def _admissible(max_candidates):
 
 def _assert_fast_equals_naive(field, n, workers=1):
     weight = classical_weight(n)
-    for t in _smooth_params(field, n):  # includes t = 0
+    for t in _smooth_params(field, weight):  # includes t = 0
         spec = FiberSpec(n, weight, t, field)
         assert count_projective_fast(spec, workers=workers).projective_count == \
             count_projective_naive(spec).projective_count, (field, n, t)
@@ -426,7 +508,7 @@ class TestFastOverAllFields:
 
     def test_workers_deterministic(self):
         field = field_make(2, 4)
-        spec = FiberSpec(5, W5, _smooth_params(field, 5)[-1], field)
+        spec = FiberSpec(5, W5, _smooth_params(field, W5)[-1], field)
         counts = {count_projective_fast(spec, workers=k).projective_count for k in (1, 2)}
         assert counts == {count_projective_naive(spec).projective_count}
 
@@ -437,7 +519,7 @@ class TestFastOverAllFields:
         def check(data):
             p, m, n = data.draw(st.sampled_from(_admissible(100_000)), label="(p, m, N)")
             field = field_make(p, m)
-            t = data.draw(st.sampled_from(_smooth_params(field, n)), label="t")
+            t = data.draw(st.sampled_from(_smooth_params(field, classical_weight(n))), label="t")
             spec = FiberSpec(n, classical_weight(n), t, field)
             assert count_projective_fast(spec).projective_count == \
                 count_projective_naive(spec).projective_count
@@ -510,9 +592,13 @@ class TestTraceAndBounds:
         assert fc.trace == middle_trace(fc.projective_count, 11, 5)
         assert fc.projective_count + fc.trace == 1 + 11 + 121 + 1331
 
-    def test_even_dimension_rejected(self):
-        with pytest.raises(CapabilityError):
-            middle_trace(100, 7, 4)
+    def test_sign_follows_parity(self):
+        # (-1)^N (count - sum_{j<N-1} q^j): a_q for odd N, the plain excess for even N
+        q = 7
+        assert middle_trace(1 + q + q**2 + 5, q, 4) == 5
+        assert middle_trace(1 + q + q**2 + q**3 + q**4 - 5, q, 6) == -5
+        assert middle_trace(1 + q + q**2 + q**3 - 5, q, 5) == 5
+        assert middle_trace(1 + q - 5, q, 3) == 5
 
     def test_weil_bound(self):
         # the bound 204 * q^(3/2) is irrational for q = 11; the check must
@@ -537,6 +623,80 @@ class TestTraceAndBounds:
                 continue
             fc = count_projective_naive(FiberSpec(5, W5, t, f))
             assert weil_bound_ok(fc.trace, 11, 5)
+
+
+def _hasse_witt(p, n, t):
+    """sum_{k <= (p-1)/N} (p-1)! / ((p-1-Nk)! (k!)^N) (-N t)^(p-1-Nk) mod p.
+
+    The 1 x 1 Hasse-Witt matrix of the classical fiber over F_p (Katz,
+    "Another look at the Dwork family"): the coefficient of (x_1...x_N)^(p-1)
+    in (sum x_i^N - N t x_1...x_N)^(p-1).  It is the middle trace mod p.
+    """
+    return sum(
+        factorial(p - 1) // (factorial(p - 1 - n * k) * factorial(k) ** n)
+        * pow(-n * t, p - 1 - n * k, p)
+        for k in range((p - 1) // n + 1)
+    ) % p
+
+
+class TestEvenTraces:
+    """One trace formula for every N, checked where the old odd-only path had none."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_hasse_witt_congruence(self, n):
+        flipped = fibers = 0
+        for p in (2, 3, 5, 7, 11, 13, 17, 19):
+            if n % p == 0:
+                continue
+            field = field_make(p, 1)
+            for t in _smooth_params(field, classical_weight(n)):
+                trace = count_projective_fast(FiberSpec(n, classical_weight(n), t, field)).trace
+                assert trace % p == _hasse_witt(p, n, t), (p, t, trace)
+                fibers += 1
+                flipped += -trace % p != _hasse_witt(p, n, t)
+        # the oracle sees the sign: the opposite one fails on most fibers
+        assert flipped > fibers // 2, (flipped, fibers)
+
+    @pytest.mark.parametrize("n,p,m", [(4, 3, 1), (4, 5, 1), (4, 7, 1), (4, 13, 1), (4, 3, 2),
+                                       (4, 5, 2), (4, 3, 3), (6, 5, 1), (6, 7, 1), (6, 11, 1),
+                                       (6, 13, 1), (6, 5, 2), (6, 7, 2)])
+    def test_weil_bound_every_smooth_fiber(self, n, p, m):
+        field = field_make(p, m)
+        weight = classical_weight(n)
+        for t in _smooth_params(field, weight):
+            fc = count_projective_fast(FiberSpec(n, weight, t, field))
+            assert weil_bound_ok(fc.trace, field.q, n), (t, fc.trace)
+            assert fc.projective_count == sum(field.q ** j for j in range(n - 1)) + fc.trace
+
+    @pytest.mark.parametrize("n,p,m", [(2, 5, 1), (4, 7, 1), (4, 13, 1), (4, 3, 2), (6, 5, 1),
+                                       (6, 13, 1)])
+    def test_fast_and_naive_traces_equal(self, n, p, m):
+        field = field_make(p, m)
+        for t in _smooth_params(field, classical_weight(n)):
+            spec = FiberSpec(n, classical_weight(n), t, field)
+            assert count_projective_fast(spec).trace == count_projective_naive(spec).trace, t
+
+    def test_nonclassical_even_weil_bound(self):
+        for entries in [(2, 2, 0, 0), (0, 1, 1, 2), (3, 3, 0, 0, 0, 0)]:
+            weight = WeightVector(len(entries), entries)
+            field = field_make(5 if len(entries) == 6 else 7, 1)
+            for t in _smooth_params(field, weight):
+                fc = count_projective_naive(FiberSpec(len(entries), weight, t, field))
+                assert weil_bound_ok(fc.trace, field.q, len(entries), weight), (entries, t)
+
+    def test_paper_fiber(self):
+        # the P^5 member of the family over F_13 at t = 2
+        fc = count_projective_fast(FiberSpec(6, classical_weight(6), 2, field_make(13, 1)))
+        assert (fc.projective_count, fc.trace) == (9810, -21131)
+        assert fc.trace % 13 == _hasse_witt(13, 6, 2) == 7
+
+    def test_quartic_tower(self):
+        spec = FiberSpec(4, classical_weight(4), 2, field_make(7, 1))
+        for fc in tower_counts(spec, 2):
+            q = fc.spec.field.q
+            assert fc.projective_count == 1 + q + q * q + fc.trace
+            assert weil_bound_ok(fc.trace, q, 4)
+            assert fc.trace == count_projective_naive(fc.spec).trace
 
 
 class TestGroupAction:
