@@ -22,6 +22,7 @@ import argparse
 import json
 import os
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
@@ -44,7 +45,6 @@ from .hodge import (
     dual_class,
     hodge_data,
     repeated_ht_scan,
-    scan_contains,
     total_dimension,
     totally_nonzero_representatives,
 )
@@ -286,7 +286,10 @@ def cmd_witness(args) -> ReportDocument:
                     "classes; the first scanned class is a valid witness"
                 )
         else:
-            payload["agreement"] = int(scan_contains(constructed.char_class, "indexed"))
+            # the scan lists its reports in representative order
+            rep = constructed.char_class.representative.entries
+            i = bisect_left(scan, rep, key=lambda r: r.char_class.representative.entries)
+            payload["agreement"] = int(i < len(scan) and scan[i].char_class.representative.entries == rep)
     except ValueError as exc:
         payload["scan"] = {"checked": 0, "reason": str(exc)}
         payload["agreement"] = None
@@ -331,8 +334,6 @@ def _fiber_dict(fc, weight: WeightVector) -> dict:
 def cmd_count(args) -> ReportDocument:
     weight = _weight_from_args(args.N, args.W)
     field = field_make(args.p, args.m)
-    if args.t is None:
-        raise UsageError("--t is required")
     t_entries = _parse_vector(args.t, "--t")
     if len(t_entries) == 1:
         t = t_entries[0]

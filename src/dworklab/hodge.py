@@ -35,6 +35,14 @@ built by ``characters._trusted_class``, the constructor ``class_of`` and
 re-canonicalisation: the sweep's codes are those of canonical (least)
 members, and ``_bulk.class_weight_stats`` checks that once on its arrays.
 The per-class recipe is the scan's test oracle.
+
+Work that depends only on W's S_N-orbit or on a weight multiset is done
+once.  ``scan_contains`` maps the class into the frame of sorted W (a
+stable sort of positions by descending weight) and reads the scan of sorted
+W, so every arrangement of one W shares one cached scan; the other two keep
+the scan of W itself, whose canonical representatives are in W's own order.
+``repeated_ht_scan`` builds one ``HodgeData`` per distinct weight row and
+its reports share those frozen objects.
 """
 
 from dataclasses import dataclass
@@ -49,6 +57,7 @@ from .characters import (
     ResidueVector,
     WeightVector,
     _checked_weight,
+    _least_shift,
     _trusted_class,
     class_of,
     classical_weight,
@@ -297,19 +306,32 @@ def repeated_ht_scan(
     ``_trusted_class``.
     """
     weight, scan = _scan(modulus, weight, semantics)
+    weights, dims, values, mults, divergent = scan.report_fields()
+    # one HodgeData per distinct weight row, shared by every report with that row; row
+    # entries lie in 0..N, so a row's base-(N+1) value (below 2^63 for N <= 15, past the
+    # row limit) identifies it, and a 1-d unique is far cheaper than np.unique(axis=0)
+    powers = (modulus + 1) ** np.arange(modulus, dtype=np.int64)
+    _, first, row_of = np.unique(weights @ powers, return_index=True, return_inverse=True)
+    hodge = [
+        HodgeData(modulus, dim, tuple(row[:dim]), semantics)
+        for row, dim in zip(weights[first].tolist(), dims[first].tolist())
+    ]
     fields = zip(
         _bulk.decode_many(scan.codes, modulus),
-        *(array.tolist() for array in scan.report_fields()),
+        row_of.tolist(),
+        values.tolist(),
+        mults.tolist(),
+        divergent.tolist(),
     )
     return tuple(
         WitnessReport(
             char_class=_trusted_class(weight, ResidueVector(modulus, rep)),
-            hodge=HodgeData(modulus, dim, tuple(weights[:dim]), semantics),
+            hodge=hodge[row],
             repeated_value=value,
             multiplicity=mult,
-            semantics_divergent=divergent,
+            semantics_divergent=div,
         )
-        for rep, weights, dim, value, mult, divergent in fields
+        for rep, row, value, mult, div in fields
     )
 
 
@@ -324,10 +346,21 @@ def repeated_class_representatives(
 def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:
     """Whether the exhaustive repeated-weight scan reports this class.
 
-    Runs the same scan as repeated_ht_scan but answers membership by binary
-    search on the flagged canonical codes instead of materializing reports.
+    Membership reads the scan of sorted W, so every W of one S_N-orbit
+    shares one cached scan.  With sigma a stable sort of positions by
+    descending weight, sigma(v + kW) = sigma(v) + k sigma(W): the class of v
+    under W and the class of sigma(v) under sigma(W) have the same members up
+    to the order of coordinates, hence the same weight multiset in both
+    semantics.  sigma(v) is re-canonicalised under sigma(W) and its code is
+    found by binary search on that scan's flagged canonical codes; no reports
+    are materialized.
     """
-    codes = _scan(cls.modulus, cls.weight, semantics)[1].codes
-    code = _bulk.encode_one(cls.representative.entries, cls.modulus)
+    n, weights = cls.modulus, cls.weight.entries
+    sigma = sorted(range(n), key=lambda i: -weights[i])
+    sorted_weight = WeightVector(n, tuple(weights[i] for i in sigma))
+    entries = cls.representative.entries
+    canon = _least_shift(tuple(entries[i] for i in sigma), sorted_weight)
+    codes = _scan(n, sorted_weight, semantics)[1].codes
+    code = _bulk.encode_one(canon, n)
     i = int(np.searchsorted(codes, code))
     return i < len(codes) and int(codes[i]) == code

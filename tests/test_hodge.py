@@ -544,6 +544,65 @@ class TestScanReportOracle:
                 assert _witness_from_class(c, semantics) is None, (case, c)
 
 
+def _unsorted_sample(n, rng, per_kind):
+    """`per_kind` seeded unsorted W at N = n with g = gcd(N, W) = 1, and as many with g > 1."""
+    unsorted = [w for w in _compositions(n) if list(w) != sorted(w, reverse=True)]
+    out = []
+    for coprime in (True, False):
+        out += rng.sample([w for w in unsorted if (gcd(n, *w) == 1) == coprime], per_kind)
+    return out
+
+
+# every non-classical W at N <= 5; at N = 6, 7 two fixed unsorted W (g = 1 and g = 3)
+# and a seeded sample of unsorted W with g = 1 and g > 1
+ORBIT_MAP_CASES = (
+    [(n, w) for n in range(2, 6) for w in _compositions(n) if w != (1,) * n]
+    + [(7, (0, 0, 0, 1, 6, 0, 0)), (6, (0, 3, 0, 0, 3, 0))]
+    + [(6, w) for w in _unsorted_sample(6, random.Random(20082), 3)]
+    + [(7, w) for w in _unsorted_sample(7, random.Random(20083), 1)]
+)
+
+
+class TestOrbitMap:
+    """``scan_contains`` answers from the scan of sorted W, through a stable sort of
+    positions by descending weight; the per-W scan behind
+    ``repeated_class_representatives`` is its oracle."""
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    def test_membership_matches_per_weight_scan(self, semantics):
+        for n, weights in ORBIT_MAP_CASES:
+            w = WeightVector(n, weights)
+            reported = set(repeated_class_representatives(n, w, semantics))
+            classes = enumerate_classes(n, w)
+            if len(classes) > 5_000:  # N = 7 (7^5 or 7^6 classes): a seeded sample
+                classes = random.Random(20084).sample(classes, 5_000)
+            for c in classes:
+                assert scan_contains(c, semantics) == (c.representative.entries in reported), (
+                    weights, semantics, c)
+
+    def test_one_scan_per_orbit(self):
+        # every arrangement of (3, 3, 0, 0, 0, 0) reads the one scan of the sorted weight
+        _clear_bulk_caches()
+        for weights in [(0, 3, 0, 0, 3, 0), (3, 0, 0, 0, 0, 3), (0, 0, 3, 3, 0, 0)]:
+            w = WeightVector(6, weights)
+            assert scan_contains(construct_repeat_witness(6, w).char_class)
+        assert _bulk.repeat_scan.cache_info().misses == 1
+
+
+class TestSharedHodgeData:
+    """``repeated_ht_scan`` builds one HodgeData per distinct weight row; reports share it."""
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    @pytest.mark.parametrize(
+        "n,weights", [(6, (1,) * 6), (6, (0, 3, 0, 0, 3, 0)), (7, (1,) * 7), (7, (0, 0, 0, 1, 6, 0, 0))]
+    )
+    def test_one_object_per_multiset(self, n, weights, semantics):
+        reports = repeated_ht_scan(n, WeightVector(n, weights), semantics)
+        assert reports
+        distinct = {(r.hodge.dimension, r.hodge.weights) for r in reports}
+        assert len({id(r.hodge) for r in reports}) == len(distinct) < len(reports)
+
+
 def _class_of_oracle(n, weights):
     """Sorted canonical representatives of class_of(v, W) over all zero-sum v."""
     w = WeightVector(n, weights)
