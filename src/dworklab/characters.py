@@ -172,8 +172,9 @@ def _trusted_class(weight: WeightVector, representative: ResidueVector) -> CharC
     """A class built without the check in ``CharClass.__post_init__``.
 
     Only for representatives already known to be canonical: ``class_of``
-    canonicalises its own, and the sweep behind ``enumerate_classes`` and
-    the repeated-weight scan checks its arrays (``_bulk.class_weight_stats``).
+    canonicalises its own, and the one sweep behind ``enumerate_classes``
+    and the repeated-weight scan checks its arrays
+    (``_bulk.class_weight_stats``).
     """
     cls = object.__new__(CharClass)
     object.__setattr__(cls, "weight", weight)
@@ -221,12 +222,13 @@ def is_totally_nonzero(vector: ResidueVector) -> bool:
 def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple[CharClass, ...]:
     """Every class exactly once, sorted by canonical representative.
 
-    There are N^(N-1) / ord(W) of them.  The sweep's codes are canonical
-    (``_bulk.class_weight_stats`` checks its arrays), so the classes are
-    built by ``_trusted_class``.
+    There are N^(N-1) / ord(W) of them, read from the cached sweep
+    (``_bulk.class_sweep``) that the repeated-weight scans read too.  Its
+    codes are canonical (``_bulk.class_weight_stats`` checks its arrays), so
+    the classes are built by ``_trusted_class``.
     """
     weight = _checked_weight(modulus, weight)
-    codes = _bulk.canonical_class_codes(modulus, weight.entries)
+    codes = _bulk.class_sweep(modulus, weight.entries).codes
     return tuple(
         _trusted_class(weight, ResidueVector(modulus, rep))
         for rep in _bulk.decode_many(codes, modulus)

@@ -251,6 +251,8 @@ def _witness_dict(report) -> dict:
 
 
 def cmd_witness(args) -> ReportDocument:
+    if args.N < 3:
+        raise UsageError("witness requires N >= 3")
     weight = _weight_from_args(args.N, args.W)
     warnings: list[str] = []
     payload: dict = {"constructed": None, "construction_error": None}
@@ -529,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    if args.command == "witness" and args.N < 3:
-        print("error: witness requires N >= 3", file=sys.stderr)
-        return EXIT_USAGE
     cpus = os.cpu_count() or 1
     if args.workers > cpus:
         print(f"error: --workers {args.workers} exceeds the {cpus} CPUs of this machine",

@@ -19,30 +19,31 @@ classical weight.
 
 The per-class functions (``hodge_data``, ``semantics_divergent``, the two
 witness constructions) run the recipe in plain Python.  The exhaustive scan
-does not: ``_bulk.repeat_scan`` evaluates the recipe for every class at once
-in numpy.  ``repeated_ht_scan``, ``repeated_class_representatives`` and
-``scan_contains`` all reach it through one front door, ``_scan``, which
-checks (N, W, semantics) once.  The sweep behind it reads one transversal
-of N^(N-1)/ord(W) zero-sum vectors, one per class, for every W, and checks
-the one row limit, ``_bulk.MAX_TABLE_ROWS``, before it builds that table.
-It steps each class through its ord(W) distinct members; the indexed
-weights are the set weights repeated g = N/ord(W) times, so every report
-of a scan is set/indexed divergent when g > 1 and none is when g = 1.
-Each report's other fields (sorted weights, least repeated value,
-multiplicity) come from that result's arrays.  Its classes are
-built by ``characters._trusted_class``, the constructor ``class_of`` and
-``enumerate_classes`` share, without ``CharClass``'s per-class
-re-canonicalisation: the sweep's codes are those of canonical (least)
-members, and ``_bulk.class_weight_stats`` checks that once on its arrays.
-The per-class recipe is the scan's test oracle.
+does not: it reads ``_bulk.class_sweep``, the one cached sweep per (N, W),
+which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
+``repeated_class_representatives`` and ``scan_contains`` all reach it
+through one front door, ``_scan``, which checks (N, W, semantics) once.
+The sweep reads one transversal of N^(N-1)/ord(W) zero-sum vectors, one
+per class, for every W, and checks the one row limit,
+``_bulk.MAX_TABLE_ROWS``, before it builds that table.  It steps each class
+through its ord(W) distinct members; the indexed weights are the set
+weights repeated g = N/ord(W) times, so one sweep holds the flagged classes
+of both semantics, and every report of a scan is set/indexed divergent when
+g > 1 and none is when g = 1.  Each report's other fields (sorted weights,
+least repeated value, multiplicity) come from the sweep's weight array.
+Its classes are built by ``characters._trusted_class``, the constructor
+``class_of`` and ``enumerate_classes`` share, without ``CharClass``'s
+per-class re-canonicalisation: the sweep's codes are those of canonical
+(least) members, and ``_bulk.class_weight_stats`` checks that once on its
+arrays.  The per-class recipe is the scan's test oracle.
 
 Work that depends only on W's S_N-orbit or on a weight multiset is done
 once.  ``scan_contains`` maps the class into the frame of sorted W (a
-stable sort of positions by descending weight) and reads the scan of sorted
-W, so every arrangement of one W shares one cached scan; the other two keep
-the scan of W itself, whose canonical representatives are in W's own order.
-``repeated_ht_scan`` builds one ``HodgeData`` per distinct weight row and
-its reports share those frozen objects.
+stable sort of positions by descending weight) and reads the sweep of
+sorted W, so every arrangement of one W shares one cached sweep; the other
+two read the sweep of W itself, whose canonical representatives are in W's
+own order.  ``repeated_ht_scan`` builds one ``HodgeData`` per distinct
+weight row and its reports share those frozen objects.
 """
 
 from dataclasses import dataclass
@@ -282,15 +283,16 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
 
 def _scan(
     modulus: int, weight: WeightVector | None, semantics: Semantics
-) -> tuple[WeightVector, _bulk.RepeatScan]:
-    """The front door of the three scan functions below: (W, the cached scan).
+) -> tuple[WeightVector, _bulk.ClassSweep, bool]:
+    """The front door of the three scan functions below: (W, the cached
+    sweep, whether the semantics is indexed).
 
     W defaults to the classical weight; its modulus and the semantics are
-    checked here, and the row limit in ``_bulk``'s table builders.
+    checked here, and the row limit in ``_bulk``'s sweep.
     """
     weight = _checked_weight(modulus, weight)
     _check_semantics(semantics)
-    return weight, _bulk.repeat_scan(modulus, weight.entries, semantics == "indexed")
+    return weight, _bulk.class_sweep(modulus, weight.entries), semantics == "indexed"
 
 
 def repeated_ht_scan(
@@ -300,28 +302,27 @@ def repeated_ht_scan(
 
     Ordered by canonical representative.  Independent of the witness
     constructions above: it sweeps every class of (N, W) once,
-    and each report's fields come from the scan's arrays
-    (``_bulk.repeat_scan``), not from the per-class recipe.  The sweep's
-    representatives are canonical, so each class is built by
+    and each report's fields come from the sweep's arrays
+    (``_bulk.ClassSweep.report_fields``), not from the per-class recipe.
+    The sweep's representatives are canonical, so each class is built by
     ``_trusted_class``.
     """
-    weight, scan = _scan(modulus, weight, semantics)
-    weights, dims, values, mults, divergent = scan.report_fields()
+    weight, sweep, indexed = _scan(modulus, weight, semantics)
+    weights, dims, values, mults = sweep.report_fields(indexed)
     # one HodgeData per distinct weight row, shared by every report with that row; row
     # entries lie in 0..N, so a row's base-(N+1) value (below 2^63 for N <= 15, past the
     # row limit) identifies it, and a 1-d unique is far cheaper than np.unique(axis=0)
-    powers = (modulus + 1) ** np.arange(modulus, dtype=np.int64)
+    powers = (modulus + 1) ** np.arange(weights.shape[1], dtype=np.int64)
     _, first, row_of = np.unique(weights @ powers, return_index=True, return_inverse=True)
     hodge = [
         HodgeData(modulus, dim, tuple(row[:dim]), semantics)
         for row, dim in zip(weights[first].tolist(), dims[first].tolist())
     ]
     fields = zip(
-        _bulk.decode_many(scan.codes, modulus),
+        _bulk.decode_many(sweep.flagged[indexed], modulus),
         row_of.tolist(),
         values.tolist(),
         mults.tolist(),
-        divergent.tolist(),
     )
     return tuple(
         WitnessReport(
@@ -329,9 +330,9 @@ def repeated_ht_scan(
             hodge=hodge[row],
             repeated_value=value,
             multiplicity=mult,
-            semantics_divergent=div,
+            semantics_divergent=sweep.g > 1,
         )
-        for rep, row, value, mult, div in fields
+        for rep, row, value, mult in fields
     )
 
 
@@ -339,28 +340,29 @@ def repeated_class_representatives(
     modulus: int, weight: WeightVector | None = None, semantics: Semantics = "indexed"
 ) -> tuple[tuple[int, ...], ...]:
     """Canonical representatives of the classes a scan would report (cheap form)."""
-    scan = _scan(modulus, weight, semantics)[1]
-    return tuple(_bulk.decode_many(scan.codes, modulus))
+    _, sweep, indexed = _scan(modulus, weight, semantics)
+    return tuple(_bulk.decode_many(sweep.flagged[indexed], modulus))
 
 
 def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:
     """Whether the exhaustive repeated-weight scan reports this class.
 
-    Membership reads the scan of sorted W, so every W of one S_N-orbit
-    shares one cached scan.  With sigma a stable sort of positions by
+    Membership reads the sweep of sorted W, so every W of one S_N-orbit
+    shares one cached sweep.  With sigma a stable sort of positions by
     descending weight, sigma(v + kW) = sigma(v) + k sigma(W): the class of v
     under W and the class of sigma(v) under sigma(W) have the same members up
     to the order of coordinates, hence the same weight multiset in both
     semantics.  sigma(v) is re-canonicalised under sigma(W) and its code is
-    found by binary search on that scan's flagged canonical codes; no reports
-    are materialized.
+    found by binary search on that sweep's flagged canonical codes, which it
+    stores for both semantics; no reports are materialized.
     """
     n, weights = cls.modulus, cls.weight.entries
     sigma = sorted(range(n), key=lambda i: -weights[i])
     sorted_weight = WeightVector(n, tuple(weights[i] for i in sigma))
     entries = cls.representative.entries
     canon = _least_shift(tuple(entries[i] for i in sigma), sorted_weight)
-    codes = _scan(n, sorted_weight, semantics)[1].codes
+    _, sweep, indexed = _scan(n, sorted_weight, semantics)
+    codes = sweep.flagged[indexed]
     code = _bulk.encode_one(canon, n)
     i = int(np.searchsorted(codes, code))
     return i < len(codes) and int(codes[i]) == code

@@ -137,6 +137,11 @@ class TestWitness:
         assert "pivot" in p["construction_error"]
         assert p["scan"]["repeated_class_count"] > 0
 
+    def test_n_below_3_exits_2(self, capsys):
+        code, out, err = run(["witness", "--N", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: witness requires N >= 3\n"
+
     def test_scan_past_row_limit_skipped(self, capsys):
         # the transversal of N = 10 has 10^8 rows, over the 10 M row limit
         doc = run_json(["witness", "--N", "10"], capsys)
@@ -148,7 +153,7 @@ class TestWitness:
         assert any(w.startswith("scan skipped: ") for w in doc["warnings"])
 
     def test_n9_order3_scan_refused_under_memory_cap(self):
-        # (3,3,3,0,...,0) at N = 9 has 3 * 9^7 classes, a sweep of about 0.8 GB;
+        # (3,3,3,0,...,0) at N = 9 has 3 * 9^7 classes, a sweep of about 0.6 GB;
         # run apart under a 1 GiB address-space cap, so that admitting it fails
         # here instead of exhausting the machine's memory
         resource = pytest.importorskip("resource")

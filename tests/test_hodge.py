@@ -425,7 +425,7 @@ class TestRowLimit:
         def no_table(*args):
             raise AssertionError("a table was allocated past the row limit")
 
-        monkeypatch.setattr(_bulk, "_sum_constrained_rows", no_table)
+        monkeypatch.setattr(_bulk, "_transversal_table", no_table)
         w = WeightVector(6, weights)
         cls = class_of((0,) * 6, w)
         calls = [
@@ -455,7 +455,7 @@ class TestRowLimit:
         def no_table(*args):
             raise AssertionError("a table was allocated past the row limit")
 
-        monkeypatch.setattr(_bulk, "_sum_constrained_rows", no_table)
+        monkeypatch.setattr(_bulk, "_transversal_table", no_table)
         for weights, rows in [((3, 3, 3) + (0,) * 6, 14348907), ((9,) + (0,) * 8, 43046721)]:
             with pytest.raises(ValueError, match=f"needs {rows} rows, over the limit of 10000000$"):
                 repeated_ht_scan(9, WeightVector(9, weights))
@@ -470,7 +470,7 @@ class TestRowLimit:
         def sentinel(*args):
             raise Built
 
-        monkeypatch.setattr(_bulk, "_sum_constrained_rows", sentinel)
+        monkeypatch.setattr(_bulk, "_transversal_table", sentinel)
         for weights in [(1,) * 9, (3, 3, 2) + (0,) * 5 + (1,)]:
             with pytest.raises(Built):
                 _bulk.class_weight_stats(9, weights)
@@ -581,12 +581,23 @@ class TestOrbitMap:
                     weights, semantics, c)
 
     def test_one_scan_per_orbit(self):
-        # every arrangement of (3, 3, 0, 0, 0, 0) reads the one scan of the sorted weight
+        # every arrangement of (3, 3, 0, 0, 0, 0) reads the one sweep of the sorted weight
         _clear_bulk_caches()
         for weights in [(0, 3, 0, 0, 3, 0), (3, 0, 0, 0, 0, 3), (0, 0, 3, 3, 0, 0)]:
             w = WeightVector(6, weights)
             assert scan_contains(construct_repeat_witness(6, w).char_class)
-        assert _bulk.repeat_scan.cache_info().misses == 1
+        assert _bulk.class_sweep.cache_info().misses == 1
+
+    def test_one_sweep_per_weight(self):
+        # class enumeration, both scan semantics and membership all read one sweep
+        _clear_bulk_caches()
+        w = WeightVector(6, (3, 3, 0, 0, 0, 0))
+        classes = enumerate_classes(6, w)
+        for semantics in ("set", "indexed"):
+            repeated_ht_scan(6, w, semantics)
+            repeated_class_representatives(6, w, semantics)
+            scan_contains(classes[0], semantics)
+        assert _bulk.class_sweep.cache_info().misses == 1
 
 
 class TestSharedHodgeData:
@@ -642,12 +653,13 @@ class TestSweepOracle:
          (6, (3, 3, 0, 0, 0, 0)), (6, (4, 2, 0, 0, 0, 0))],
     )
     def test_member_arrays(self, n, weights):
-        # column j, row k describes v_j + kW for the canonical representative v_j, and
-        # the ord(W) rows are the class's distinct members: v_j + ord(W) W = v_j
-        codes, tnz, lift, member = _bulk.class_weight_stats(n, weights)
+        # column j, row k of member is v_j + kW for the canonical representative v_j, and
+        # the ord(W) rows are the class's distinct members: v_j + ord(W) W = v_j; column j
+        # of weights holds their weights sorted, lift/N - 1 when totally nonzero, else N
+        codes, ht, member = _bulk.class_weight_stats(n, weights)
         order = WeightVector(n, weights).order
-        assert member.shape == tnz.shape == lift.shape == (order, len(codes))
-        assert lift.dtype == np.int16 and tnz.dtype == bool
+        assert member.shape == ht.shape == (order, len(codes))
+        assert ht.dtype == np.int8
         reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
         assert _bulk.decode_many(codes, n) == reps
         for j, rep in enumerate(reps):
@@ -655,13 +667,12 @@ class TestSweepOracle:
             assert shifts[order] == rep
             assert len(set(member[:, j].tolist())) == order
             assert member[:, j].tolist() == [_bulk.encode_one(u, n) for u in shifts[:order]]
-            assert tnz[:, j].tolist() == [all(u) for u in shifts[:order]]
-            assert lift[:, j].tolist() == [sum(u) for u in shifts[:order]]
+            assert ht[:, j].tolist() == sorted(sum(u) // n - 1 if all(u) else n for u in shifts[:order])
 
     def test_member_codes_fit_their_dtype(self):
         # the largest code is that of (N-1, ..., N-1), a member of some class
         n = 8
-        codes, _, _, member = _bulk.class_weight_stats(n, (1,) * n)
+        codes, _, member = _bulk.class_weight_stats(n, (1,) * n)
         assert member.dtype == codes.dtype == _bulk.code_dtype(n) == np.int32
         assert int(member.max()) == n ** n - 1
         assert _bulk.decode_many(np.array([member.max()]), n) == [(n - 1,) * n]
@@ -707,12 +718,12 @@ class TestSweepCheck:
     every sweep runs it, so the tests above cover arrays it accepts."""
 
     def test_duplicated_code_raises(self):
-        codes, _, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        codes, _, member = _bulk.class_weight_stats(5, (1,) * 5)
         with pytest.raises(RuntimeError, match="strictly increasing"):
             _bulk._check_canonical(np.insert(codes, 7, codes[7]), np.insert(member, 7, member[:, 7], axis=1))
 
     def test_columns_out_of_order_raise(self):
-        codes, _, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        codes, _, member = _bulk.class_weight_stats(5, (1,) * 5)
         swap = np.arange(len(codes))
         swap[[7, 8]] = [8, 7]
         with pytest.raises(RuntimeError, match="strictly increasing"):
