@@ -29,20 +29,24 @@ pair of elements against the polynomial arithmetic the fields are built on.
   prime or extension, and is the reference.
 * ``count_projective_fast`` (classical weight, any GF(p^m)) splits off the
   points with a zero coordinate, which satisfy the diagonal equation
-  sum x_i^N = 0 and are counted by additive convolutions over (Z/p)^m of the
-  table r(a) = #{x != 0 : x^N = a}; on the totally nonzero torus it
-  normalizes the last coordinate to 1 and resolves the first coordinate
-  through the table M[c][a] = #{x != 0 : x^N - c x = a}, the only table of
-  either counter larger than q.  The roots of unity mu_d in F_q, d =
-  gcd(N, q-1), act on the torus without changing a term, so both the sweep
-  and M are quotiented by them: with r = (q-1)/d, M has r rows of q
-  entries and the sweep visits r^(N-2) tuples, each standing for d^(N-2).
-  Total work O(r^(N-2) + r q) instead of O(q^(N-1)).
+  sum x_i^N = 0; the number of tuples with a given power sum is constant on
+  the d + 1 cyclotomic classes {0} and g^i H (H the N-th powers, d =
+  gcd(N, q-1)), so they are counted by a (d+1) x (d+1) matrix of
+  cyclotomic numbers.  On the totally nonzero torus it normalizes the last
+  coordinate to 1 and resolves the first coordinate through the table
+  M[c][a] = #{x != 0 : x^N - c x = a}, the only table of either counter
+  larger than q.  The roots of unity mu_d act on the torus without changing
+  a term, so both the sweep and M are quotiented by them: with
+  r = (q-1)/d, M has r rows of q entries.  A term depends only on the sum
+  of the middle logs and of their N-th powers, so the sweep visits each
+  multiset of N-2 logs in [0, r) once, C(r+N-3, N-2) of them, weighted by
+  its multinomial; each stands for its orderings times d^(N-2) tuples.
+  Total work O(C(r+N-3, N-2) + r q) instead of O(q^(N-1)).
 
 ``tower_counts`` uses the stratified counter for the classical weight and
-the naive one otherwise.  Both counters split their outer loop into ranges;
-workers > 1 spreads the ranges over threads, and the total is the same
-either way.
+the naive one otherwise.  Both counters split their outer loop into ranges
+of about equal work; workers > 1 spreads the ranges over threads, and the
+total is the same either way.
 """
 
 import time
@@ -559,6 +563,17 @@ def _log_power(log: np.ndarray, e: int, n: int) -> np.ndarray:
     return out
 
 
+def _zech2(zech: np.ndarray, n: int) -> np.ndarray:
+    """zech over two periods, so that a shifted index needs no reduction.
+
+    Its log-0 entries become 2n, which `_fold` sends to n after any shift
+    below n.
+    """
+    out = np.tile(zech[:n], 2)
+    out[out == n] = 2 * n
+    return out
+
+
 def _fold(n: int) -> np.ndarray:
     """f[k] = k mod n for k < 2n and n for 2n <= k < 3n, as int32.
 
@@ -576,13 +591,21 @@ def _fold(n: int) -> np.ndarray:
 _INNER_CAP = 1 << 21  # rows of the inner block, unless one coordinate alone exceeds it
 
 
-def _split_sum(run, total: int, workers: int) -> int:
-    """Sum of run(start, stop) over ranges covering 0..total, one per worker thread."""
+def _split_sum(run, cost: np.ndarray, workers: int) -> int:
+    """Sum of run(start, stop) over consecutive ranges of items, one per worker thread.
+
+    cost[i] is the work of item i; the ranges are cut where its running sum
+    crosses the multiples of its total over workers, so each thread gets
+    about the same share.
+    """
+    total = len(cost)
     if workers <= 1 or total < workers:
         return run(0, total)
-    step = -(-total // workers)
+    cum = np.cumsum(cost)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, workers) / workers) + 1
+    bounds = np.unique(np.concatenate([[0], np.minimum(cuts, total), [total]])).tolist()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(lambda s: run(s, min(s + step, total)), range(0, total, step)))
+        return sum(pool.map(run, bounds[:-1], bounds[1:]))
 
 
 def _count_stratum(spec: FiberSpec, lead: int, workers: int) -> int:
@@ -664,7 +687,7 @@ def _count_stratum(spec: FiberSpec, lead: int, workers: int) -> int:
             hits += int(mult[lhs == rhs].sum())
         return hits
 
-    return _split_sum(run, len(sum_out), workers)
+    return _split_sum(run, np.ones(len(sum_out)), workers)
 
 
 def count_projective_naive(
@@ -697,21 +720,33 @@ def count_projective_naive(
 # log of 0, see FiniteField.log_tables): products are sums of logs, and sums
 # go through the Zech table.
 
-_GRID_MIN = 1 << 13  # torus tuples in the grid swept by each vector pass: at least,
+_GRID_MIN = 1 << 13  # r^inner, the ordered tuples the inner grid of sorted ones stands for: at least,
 _GRID_MAX = 1 << 21  # and at most (past this, its arrays fall out of cache)
 _M_BLOCK = 1 << 18  # entries of the M table built per vector pass
+
+
+def _grid_split(r: int, middle: int) -> int:
+    """Middle coordinates in the inner grid: the fewest with r^inner >= _GRID_MIN, one fewer past _GRID_MAX."""
+    inner = min(middle, 1)
+    while inner < middle and r ** inner < _GRID_MIN:
+        inner += 1
+    if inner > 1 and r ** inner > _GRID_MAX:
+        inner -= 1
+    return inner
 
 
 def _fast_work(q: int, N: int) -> int:
     """Work estimate of `count_projective_fast` over GF(q), checked against the budget.
 
-    With r = (q-1)/gcd(N, q-1), the torus sweep visits r^(N-2) tuples and
-    the M table has r rows of q entries; the zero stratum convolves
-    q-element arrays N-3 times over the r nonzero N-th powers, then takes
-    one q-term dot product.
+    With r = (q-1)/gcd(N, q-1), the torus sweep visits the C(r+N-3, N-2)
+    multisets of N-2 logs in [0, r) and builds one q-entry column table per
+    outer tuple (`_grid_split`); the M table has r rows of q entries, and
+    the zero stratum reads q-1 Zech logs.
     """
     r = (q - 1) // gcd(N, q - 1)
-    return r ** (N - 2) + r * q + max(N - 3, 0) * q * r + q
+    middle = max(N - 2, 0)
+    outer = middle - _grid_split(r, middle)
+    return comb(r + middle - 1, middle) + comb(r + outer - 1, outer) * q + r * q + q
 
 
 def _zero_stratum(field: FiniteField, N: int) -> int:
@@ -719,35 +754,33 @@ def _zero_stratum(field: FiniteField, N: int) -> int:
 
     With T_j the number of (x_1..x_j) in (F_q^*)^j with sum x_i^N = 0, the
     affine solutions with exactly k zero coordinates number C(N, k) T_(N-k).
-    T_j is read at 0 from the j-fold convolution of r(a) = #{x != 0 : x^N = a}
-    over the additive group (Z/p)^m, exactly in integers.
+    The N-th powers of F_q^* are the subgroup H = <g^d>, d = gcd(N, q-1),
+    each the N-th power of d elements.  Scaling every x_i by one element
+    permutes the tuples and multiplies their sum by an element of H, so the
+    number S_j(a) of j-tuples with sum a is constant on the d + 1 classes
+    {0} and g^i H.  On class vectors S_(j+1) = B S_j, with
+    B[i][k] = d #{y in H : a_i - y in class k} for the representatives
+    a_0 = 0 and a_(1+i) = g^i (Gauss's cyclotomic numbers), read off q-1
+    Zech logs.  T_j is the zero entry of B^j e_0, in exact integers.
     """
-    q, p, m = field.q, field.p, field.m
-    codes = np.arange(q, dtype=np.int64)
-    digits = [(codes // p ** i) % p for i in range(m)]
-    neg = sum(((-d) % p) * p ** i for i, d in enumerate(digits))
-    r = np.bincount(field.pow_table(N)[1:], minlength=q)
-    support = np.flatnonzero(r)
-    # a code's base-p digits, highest first, are its coordinates in (Z/p)^m
-    shifts = [tuple(int(digits[i][y]) for i in reversed(range(m))) for y in support]
-    axes = tuple(range(m))
-
-    def convolve(c: np.ndarray) -> np.ndarray:
-        grid = c.reshape((p,) * m)
-        out = np.zeros_like(grid)
-        for y, shift in zip(support, shifts):
-            out += r[y] * np.roll(grid, shift, axis=axes)  # out[x] += r(y) c(x - y)
-        return out.ravel()
-
+    log, zech = field.log_tables()
+    n = field.q - 1
+    d = gcd(N, n)
+    h = int(log[field.neg(1)])  # g^h = -1
+    # g^i - g^e = g^i (1 + g^(e - i + h)) for y = g^e in H, that is d | e
+    i = np.repeat(np.arange(d, dtype=np.int64), n // d)
+    z = zech[(np.tile(np.arange(0, n, d, dtype=np.int64), d) - i + h) % n]
+    cls = np.where(z == n, 0, 1 + (i + z) % d)
+    B = d * np.bincount((1 + i) * (d + 1) + cls, minlength=(d + 1) ** 2).reshape(d + 1, d + 1)
+    B[0, 1 + h % d] = n  # 0 - y = g^(h + e) lies in the class of -1
+    B = B.tolist()
+    s = [1] + [0] * d
     tnz = [0] * N  # T_j for 1 <= j <= N-1; T_1 = 0, as x^N = 0 forces x = 0
-    c = r
-    for j in range(2, N - 1):
-        c = convolve(c)
-        tnz[j] = int(c[0])
-    if N > 2:
-        tnz[N - 1] = int(np.dot(c, r[neg]))  # the last convolution, read at 0 only
+    for j in range(1, N):
+        s = [sum(b * x for b, x in zip(row, s)) for row in B]
+        tnz[j] = s[0]
     affine = sum(comb(N, k) * tnz[N - k] for k in range(1, N))
-    return affine // (q - 1)
+    return affine // n
 
 
 def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
@@ -770,10 +803,7 @@ def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
     table = np.empty((rows, q), dtype=np.int32)
     h = int(log[field.neg(1)])
     shift = (j + h - power) % n
-    # zech over two periods, so that k + shift needs no reduction; its log-0
-    # entries become 2n, which `fold` sends to column n
-    zech2 = np.tile(zech[:n], 2)
-    zech2[zech2 == n] = 2 * n
+    zech2 = _zech2(zech, n)
     fold = _fold(n)
     block = max(1, _M_BLOCK // q)
     for k0 in range(0, rows, block):
@@ -790,16 +820,21 @@ def count_projective_fast(
     """Stratified exact count over any GF(p^m); must agree with the naive counter.
 
     Zero stratum: any vanishing coordinate kills the monomial, so those
-    points satisfy the diagonal equation and are counted by additive
-    convolutions (`_zero_stratum`).  Torus stratum: normalize the last
-    coordinate to 1, run over the logs l_i of the N-2 middle coordinates y_i,
-    and read off the number of first coordinates x from
+    points satisfy the diagonal equation and are counted on cyclotomic
+    classes (`_zero_stratum`).  Torus stratum: normalize the last coordinate
+    to 1, run over the logs l_i of the N-2 middle coordinates y_i, and read
+    off the number of first coordinates x from
     M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N).
     The d = gcd(N, q-1) roots of unity z in mu_d quotient the sweep: y -> z y
     keeps y^N and multiplies c by z, which leaves M's row unchanged
-    (`_m_table`).  So each l_i runs over 0..(q-1)/d - 1 only, and the torus
-    sum is multiplied by d^(N-2).  The last middle coordinates form a fixed
-    grid swept by vector passes; a short Python loop runs over the others.
+    (`_m_table`).  So each l_i runs over 0..r-1 only, r = (q-1)/d, and the
+    torus sum is multiplied by d^(N-2).  A term depends only on sum l_i and
+    sum y_i^N, so the sweep runs over multisets of logs, as non-decreasing
+    tuples weighted by their multinomials (N-2)!/prod c_v!, where c_v counts
+    the log v.  The last middle coordinates form a fixed grid of sorted
+    tuples swept by vector passes, and a short Python loop runs over sorted
+    tuples of the others: each outer tuple extends the suffix of the grid
+    whose first log is at least its last one.
     """
     if not spec.weight.classical:
         raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
@@ -808,12 +843,15 @@ def count_projective_fast(
     required = _fast_work(q, N)
     if required > budget:
         raise BudgetError(required, budget, what=f"stratified count over GF({q})")
-
-    started = time.perf_counter()
-    log, zech = field.log_tables()
     n = q - 1
     d = gcd(N, n)
     r = n // d
+    # the sweep's weights, and its int64 dot products, stay below N r^(N-2)
+    if N * r ** (N - 2) >= 1 << 63:
+        raise CapabilityError(f"the sweep's weights at N = {N} over GF({q}) exceed 64-bit integers")
+
+    started = time.perf_counter()
+    log, zech = field.log_tables()
     ct = field.mul(N % field.p, spec.t)
     # M rows are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
     rows = 1 if ct == 0 else r
@@ -821,44 +859,93 @@ def count_projective_fast(
 
     h = int(log[field.neg(1)])
     # each log l_i < r stands for its d representatives l_i + k r, which share y^N
-    steps = np.arange(r, dtype=np.int64)
-    powers = N * steps % n
+    powers = N * np.arange(r, dtype=np.int64) % n
 
-    def grid(k: int, l0: int, s0: int) -> tuple[np.ndarray, np.ndarray]:
-        """Over all k-tuples of logs: (l0 + sum l_i) mod rows, log of -(s0 + sum y_i^N)."""
+    def grid(k: int, l0: int, s0: int):
+        """Non-decreasing k-tuples of logs in [0, r), in lexicographic order.
+
+        Returns (l0 + sum l_i) mod rows, the log of -(s0 + sum y_i^N), the
+        first log and how often it occurs, the last log and how often it
+        occurs, and the multinomial k!/prod c_v!, where c_v counts the log v.
+        The empty tuple has first and last log 0, each occurring 0 times.
+        """
         l = np.array([l0 % rows], dtype=np.int64)
         s = np.array([s0], dtype=np.int64)
-        for _ in range(k):
-            l = ((l[:, None] + steps) % rows).ravel()
-            s = _log_add(s[:, None], powers, zech, n).ravel()
-        return l, np.where(s == n, n, (s + h) % n)
+        first = last = lead = trail = np.zeros(1, dtype=np.int64)
+        mult = np.ones(1, dtype=np.int64)
+        for i in range(k):
+            # each tuple ending in log a is extended by a, a+1, ..., r-1
+            ext = r - last
+            parent = np.repeat(np.arange(len(l)), ext)
+            v = np.arange(len(parent)) - np.repeat(np.cumsum(ext) - ext - last, ext)
+            trail = np.where(v == last[parent], trail[parent] + 1, 1)
+            first = first[parent] if i else v
+            lead = lead[parent] + (v == first)
+            mult = mult[parent] * (i + 1) // trail
+            last = v
+            l = (l[parent] + v) % rows
+            s = _log_add(s[parent], powers[v], zech, n)
+        return l, np.where(s == n, n, (s + h) % n), first, lead, last, trail, mult
 
     middle = N - 2
-    inner = min(middle, 1)
-    while inner < middle and r ** inner < _GRID_MIN:
-        inner += 1
-    if inner > 1 and r ** inner > _GRID_MAX:
-        inner -= 1
-    lin, neg_sin = grid(inner, 0, n)
+    inner = _grid_split(r, middle)
+    outer = middle - inner
+    lin, neg_sin, first, lead, _, _, m_in = grid(inner, 0, n)
     # (row - rows) * q indexes M from its end: row + L wraps past `rows` for free
     base = (lin - rows) * q
-    lout, neg_uout = grid(middle - inner, int(log[ct]) if ct else 0, 0)
+    size = len(base)
+    # Inner tuples whose first log is at least v form the suffix from
+    # suffix[v], in segments of a = inner, inner-1, ..., 1 leading copies
+    # of v and then a = 0, the rest; the segment of a copies ends at
+    # bounds[inner - a][v].
+    suffix = np.searchsorted(first, np.arange(r))
+    bounds = np.array([suffix + np.bincount(first[lead >= a], minlength=r)
+                       for a in range(inner, 0, -1)] + [np.full(r, size)])
+    del lin, first, lead
+
+    lout, neg_uout, _, _, top, run, m_out = grid(outer, int(log[ct]) if ct else 0, 0)
+    start = suffix[top]
+    # A multiset weighs its multinomial (N-2)!/prod c_v!.  That of an outer
+    # tuple O followed by an inner tuple I is C(N-2, inner) m(O) m(I) when
+    # they share no log, and that divided by C(a + c, c) when I begins with
+    # a copies of the log that ends O c times.
+    weight = [comb(middle, inner) * m for m in m_out.tolist()]
+    divisors = [[comb(a + c, c) for a in range(inner, -1, -1)] for c in range(outer + 1)]
+    zech2 = _zech2(zech, n)
+    fold = _fold(n).astype(np.int64)
     all_logs = np.arange(q, dtype=np.int64)
 
-    def sweep(start: int, stop: int) -> int:
-        idx = np.empty(len(base), dtype=np.int64)
-        vals = np.empty(len(base), dtype=m_flat.dtype)
+    def sweep(begin: int, end: int) -> int:
+        cols = np.empty(q, dtype=np.int64)
+        idx = np.empty(size, dtype=np.int64)
+        vals = np.empty(size, dtype=m_flat.dtype)
         hits = 0
-        for lo, nu in zip(lout[start:stop].tolist(), neg_uout[start:stop].tolist()):
-            # column of each inner tuple: log(-(u + s)) = log((-u) + (-s)), plus the row shift
-            cols = _log_add(nu, all_logs, zech, n) + lo * q
-            np.take(cols, neg_sin, out=idx)
-            idx += base
-            np.take(m_flat, idx, out=vals)
-            hits += int(vals.sum())
+        for lo, nu, s, ends, c, w in zip(
+            lout[begin:end].tolist(), neg_uout[begin:end].tolist(), start[begin:end].tolist(),
+            bounds[:, top[begin:end]].T.tolist(), run[begin:end].tolist(), weight[begin:end],
+        ):
+            # column of each inner tuple: log(-(u + s)) = log((-u) + (-s)), plus
+            # the row shift; log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu
+            if nu == n:
+                np.add(all_logs, lo * q, out=cols)
+            else:
+                np.take(fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
+                cols[n] = nu
+                cols += lo * q
+            k = size - s
+            np.take(cols, neg_sin[s:], out=idx[:k])
+            idx[:k] += base[s:]
+            np.take(m_flat, idx[:k], out=vals[:k])
+            # int64 dot products, each at most N sum m(I) <= N r^inner
+            a = s
+            for b, divisor in zip(ends, divisors[c]):
+                if b > a:
+                    hits += w * int(np.dot(vals[a - s : b - s], m_in[a:b])) // divisor
+                a = b
         return hits
 
-    torus = _split_sum(sweep, len(lout), workers)
+    # the first outer tuples carry the longest suffixes: split by work, not by count
+    torus = _split_sum(sweep, size - start + q, workers)
     total = _zero_stratum(field, N) + d ** (N - 2) * torus
     trace = middle_trace(total, q, N)
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)

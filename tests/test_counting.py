@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from itertools import product
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import numpy as np
 import pytest
@@ -563,6 +563,15 @@ class TestFastQuotient:
         assert count_projective_fast(spec, budget=err.value.required).projective_count == \
             count_projective_naive(spec).projective_count
 
+    def test_budget_counts_multisets(self):
+        # r = 12: the sweep visits C(14, 3) = 364 multisets of three logs, not 12^3 tuples
+        spec = FiberSpec(5, W5, 2, field_make(13, 1))
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=100)
+        assert comb(14, 3) < err.value.required < 12 ** 3
+        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+            count_projective_naive(spec).projective_count
+
     @pytest.mark.parametrize("p,m,n", [(7, 1, 3), (13, 1, 6), (2, 4, 5), (5, 2, 4), (11, 1, 3)])
     def test_m_table_rows_repeat(self, p, m, n):
         # row k of the full table, counted directly, is row k mod (q-1)/d
@@ -579,6 +588,102 @@ class TestFastQuotient:
             for x in range(1, q):
                 row[log[field.sub(field.pow(x, n), field.mul(c, x))]] += 1
             assert table[k % rows].tolist() == row, k
+
+
+# (p, m, N) with r = (q-1)/gcd(N, q-1) between 2 and 8, so that a grid of
+# one or two logs leaves an outer loop whose last log often equals the
+# first log of the grid tuples it extends
+TIE_CASES = [
+    (7, 1, 4), (11, 1, 4), (7, 1, 5), (2, 4, 5), (11, 1, 5),
+    (11, 1, 6), (5, 1, 6), (5, 1, 7), (3, 1, 7), (3, 2, 7),
+]
+
+
+class TestSortedSweep:
+    """Multisets of torus logs weighted by their multinomials, and the cyclotomic zero stratum."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("grid", [1, 4])
+    @pytest.mark.parametrize("p,m,n", TIE_CASES)
+    def test_ties_across_the_grid(self, monkeypatch, p, m, n, grid, workers):
+        monkeypatch.setattr(counting, "_GRID_MIN", grid)
+        monkeypatch.setattr(counting, "_GRID_MAX", grid)
+        field = field_make(p, m)
+        r = (field.q - 1) // gcd(n, field.q - 1)
+        assert 2 <= r <= 8 and counting._grid_split(r, n - 2) < n - 2
+        _assert_fast_equals_naive(field, n, workers)
+
+    def test_workers_one_two_five(self, monkeypatch):
+        monkeypatch.setattr(counting, "_GRID_MIN", 1)
+        monkeypatch.setattr(counting, "_GRID_MAX", 1)
+        spec = FiberSpec(7, classical_weight(7), 2, field_make(13, 1))
+        counts = {count_projective_fast(spec, workers=k).projective_count for k in (1, 2, 5)}
+        assert counts == {count_projective_naive(spec).projective_count}
+
+    def test_split_follows_cost(self):
+        # the first items carry most of the work, as the first outer tuples do
+        ranges = []
+
+        def run(start, stop):
+            ranges.append((start, stop))
+            return stop - start
+
+        assert counting._split_sum(run, np.array([64, 32, 16, 8, 4, 2, 1, 1]), 2) == 8
+        assert sorted(ranges) == [(0, 1), (1, 8)]
+        ranges.clear()
+        assert counting._split_sum(run, np.ones(7), 3) == 7
+        assert sorted(ranges) == [(0, 3), (3, 5), (5, 7)]
+
+    @pytest.mark.parametrize("p,m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2),
+                                     (2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
+                                     (17, 1), (19, 1), (23, 1), (29, 1), (31, 1)])
+    def test_zero_stratum_brute_force(self, p, m):
+        field = field_make(p, m)
+        for n in range(3, 9):
+            if gcd(field.q, n) != 1:
+                continue
+            assert counting._zero_stratum(field, n) == _zero_stratum_reference(field, n), (field, n)
+            if field.q ** (n - 1) <= 20_000:
+                points = sum(
+                    1 for x in enumerate_points(FiberSpec(n, classical_weight(n), 0, field))
+                    if 0 in x
+                )
+                assert counting._zero_stratum(field, n) == points, (field, n)
+
+    @pytest.mark.parametrize("n,p,m", [(20, 41, 1), (23, 47, 1), (24, 7, 2)])
+    def test_zero_stratum_past_int64(self, n, p, m):
+        # about q^(N-2) points: the counts are exact integers past 2^63
+        field = field_make(p, m)
+        expected = _zero_stratum_reference(field, n)
+        assert expected > 1 << 63
+        assert counting._zero_stratum(field, n) == expected
+
+    def test_weights_past_int64_refused(self):
+        # r = 2 and N = 84: 83 multisets, but weights up to C(82, 41) times N
+        spec = FiberSpec(84, classical_weight(84), 0, field_make(13, 2))
+        with pytest.raises(CapabilityError):
+            count_projective_fast(spec)
+
+
+def _zero_stratum_reference(field, n):
+    """Points of sum x_i^N = 0 with a zero coordinate, by scalar field arithmetic."""
+    # S_j(a) = #{x in (F_q^*)^j : sum x_i^N = a}
+    powers = {}
+    for x in range(1, field.q):
+        y = field.pow(x, n)
+        powers[y] = powers.get(y, 0) + 1
+    sums, zeros = {0: 1}, [0] * n
+    for j in range(1, n):
+        nxt = {}
+        for a, ca in sums.items():
+            for y, cy in powers.items():
+                b = field.add(a, y)
+                nxt[b] = nxt.get(b, 0) + ca * cy
+        sums = nxt
+        zeros[j] = sums.get(0, 0)
+    # choose the k >= 1 zero coordinates, the other N-k are nonzero
+    affine = sum(comb(n, k) * zeros[n - k] for k in range(1, n))
+    return affine // (field.q - 1)
 
 
 class TestTraceAndBounds:
