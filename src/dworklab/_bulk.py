@@ -66,11 +66,20 @@ def code_dtype(modulus: int) -> type:
 
 
 def decode_many(codes: np.ndarray, modulus: int) -> list[tuple[int, ...]]:
+    """The zero-sum vectors with these codes, as tuples of Python ints.
+
+    ``characters._trusted_vector`` builds ``ResidueVector``s from these rows
+    without ``ResidueVector.__post_init__``, so its three conditions hold
+    here: each row has N entries in 0..N-1 by construction (base-N digits),
+    and one pass over the array checks that every row sums to 0 mod N.
+    """
     n = modulus
     rows = np.empty((len(codes), n), dtype=np.int64)
     for i in range(n):
         rows[:, i] = (codes // n ** (n - 1 - i)) % n
-    return [tuple(r) for r in rows.tolist()]
+    if (rows.sum(axis=1) % n).any():
+        raise RuntimeError(f"a decoded code is not a zero-sum vector mod {n}")
+    return list(map(tuple, rows.tolist()))
 
 
 def encode_one(entries: tuple[int, ...], modulus: int) -> int:
@@ -186,16 +195,19 @@ class ClassSweep:
         for array in (self.codes, self.weights, *self.flagged):
             array.flags.writeable = False
 
-    def report_fields(self, indexed: bool):
-        """(weights, dimension, repeated_value, multiplicity).
+    def report_fields(self, indexed: bool, stop: int | None = None):
+        """(codes, weights, dimension, repeated_value, multiplicity).
 
-        One row or entry per class of ``flagged[indexed]``, in code order:
-        its weights ascending, padded with N past its dimension (ord(W) of
-        them, or N under indexed semantics, each set weight repeated g
-        times), the least weight occurring twice and its count.
+        One row or entry per class of ``flagged[indexed][:stop]``, in code
+        order: its code, its weights ascending, padded with N past its
+        dimension (ord(W) of them, or N under indexed semantics, each set
+        weight repeated g times), the least weight occurring twice and its
+        count.  ``_check_reports`` checks the last three before they are
+        returned.
         """
         n = self.modulus
-        weights = self.weights.take(np.searchsorted(self.codes, self.flagged[indexed]), axis=1)
+        codes = self.flagged[indexed][:stop]
+        weights = self.weights.take(np.searchsorted(self.codes, codes), axis=1)
         if indexed and self.g > 1:
             weights = np.repeat(weights, self.g, axis=0)
         repeat = (weights[1:] == weights[:-1]) & (weights[1:] < n)
@@ -203,7 +215,39 @@ class ClassSweep:
         value = np.full(weights.shape[1], n, dtype=np.int8)
         for k in reversed(range(len(weights) - 1)):
             np.copyto(value, weights[k], where=repeat[k])
-        return weights.T, (weights < n).sum(axis=0), value, (weights == value).sum(axis=0)
+        # in a sorted column the value's run is one longer than its count of adjacent repeats
+        mults = 1 + (repeat & (weights[1:] == value)).sum(axis=0)
+        weights = weights.T
+        _check_reports(n, weights, value, mults)
+        return codes, weights, (weights < n).sum(axis=1), value, mults
+
+    def is_flagged(self, indexed: bool, entries: tuple[int, ...]) -> bool:
+        """Whether the class with canonical representative ``entries`` is in
+        ``flagged[indexed]``: one binary search for its code."""
+        codes = self.flagged[indexed]
+        code = encode_one(entries, self.modulus)
+        i = int(np.searchsorted(codes, code))
+        return i < len(codes) and int(codes[i]) == code
+
+
+def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: np.ndarray) -> None:
+    """Raise unless every row of ``weights`` holds its ``value`` (below N)
+    exactly ``mults`` >= 2 times.
+
+    These are the conditions of ``WitnessReport.__post_init__``: the
+    repeated-weight scan builds its reports from these arrays without it,
+    and this one vectorised pass is what it trusts instead.  A row's
+    weights are its entries below N, so a value below N is counted in them
+    alone.  ``report_fields`` counts each multiplicity on its sorted
+    column's run of the value, so the count over the whole row also checks
+    that run.
+    """
+    if not (value < modulus).all():
+        raise RuntimeError("a flagged class has no repeated weight")
+    if not (mults >= 2).all():
+        raise RuntimeError("a repeated weight has multiplicity below 2")
+    if not ((weights == value[:, None]).sum(axis=1) == mults).all():
+        raise RuntimeError("a stated multiplicity does not match its weight row")
 
 
 @lru_cache(maxsize=8)

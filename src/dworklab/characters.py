@@ -127,13 +127,14 @@ def _checked_weight(modulus: int, weight: WeightVector | None) -> WeightVector:
     return weight
 
 
-def _shift(entries: tuple[int, ...], k: int, weight: WeightVector) -> tuple[int, ...]:
+def _shifts(entries: tuple[int, ...], weight: WeightVector) -> list[tuple[int, ...]]:
+    """v + kW for k = 0..N-1: each member of the class N/ord(W) times."""
     n = weight.modulus
-    return tuple((e + k * w) % n for e, w in zip(entries, weight.entries))
+    return [tuple((e + k * w) % n for e, w in zip(entries, weight.entries)) for k in range(n)]
 
 
 def _least_shift(entries: tuple[int, ...], weight: WeightVector) -> tuple[int, ...]:
-    return min(_shift(entries, k, weight) for k in range(weight.modulus))
+    return min(_shifts(entries, weight))
 
 
 def canonical_representative(vector: ResidueVector, weight: WeightVector) -> ResidueVector:
@@ -168,13 +169,27 @@ class CharClass:
         return f"[{', '.join(map(str, self.representative.entries))}] mod {self.weight!r}"
 
 
+def _trusted_vector(modulus: int, entries: tuple[int, ...]) -> ResidueVector:
+    """A vector built without the checks in ``ResidueVector.__post_init__``.
+
+    Only for a tuple already known to hold N entries in 0..N-1 that sum to
+    0 mod N: the rows of ``_bulk.decode_many``, which hold the first two by
+    construction and checks the sum on its array.  ``enumerate_classes``
+    and the repeated-weight scan build their representatives with it.
+    """
+    vector = object.__new__(ResidueVector)
+    object.__setattr__(vector, "modulus", modulus)
+    object.__setattr__(vector, "entries", entries)
+    return vector
+
+
 def _trusted_class(weight: WeightVector, representative: ResidueVector) -> CharClass:
     """A class built without the check in ``CharClass.__post_init__``.
 
     Only for representatives already known to be canonical: ``class_of``
-    canonicalises its own, and the one sweep behind ``enumerate_classes``
-    and the repeated-weight scan checks its arrays
-    (``_bulk.class_weight_stats``).
+    and ``construct_repeat_witness`` canonicalise their own, and the one
+    sweep behind ``enumerate_classes`` and the repeated-weight scan checks
+    its arrays (``_bulk.class_weight_stats`` runs ``_bulk._check_canonical``).
     """
     cls = object.__new__(CharClass)
     object.__setattr__(cls, "weight", weight)
@@ -201,17 +216,15 @@ def coset_elements(cls: CharClass) -> tuple[ResidueVector, ...]:
     classical weight.
     """
     n = cls.modulus
-    seen = sorted({_shift(cls.representative.entries, k, cls.weight) for k in range(n)})
+    seen = sorted(set(_shifts(cls.representative.entries, cls.weight)))
     return tuple(ResidueVector(n, e) for e in seen)
 
 
 def coset_elements_indexed(cls: CharClass) -> tuple[tuple[int, ResidueVector], ...]:
     """All N pairs (k, v + kW); repeats occur when the order of W is < N."""
     n = cls.modulus
-    return tuple(
-        (k, ResidueVector(n, _shift(cls.representative.entries, k, cls.weight)))
-        for k in range(n)
-    )
+    shifts = _shifts(cls.representative.entries, cls.weight)
+    return tuple((k, ResidueVector(n, e)) for k, e in enumerate(shifts))
 
 
 def is_totally_nonzero(vector: ResidueVector) -> bool:
@@ -224,13 +237,15 @@ def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple
 
     There are N^(N-1) / ord(W) of them, read from the cached sweep
     (``_bulk.class_sweep``) that the repeated-weight scans read too.  Its
-    codes are canonical (``_bulk.class_weight_stats`` checks its arrays), so
-    the classes are built by ``_trusted_class``.
+    codes are canonical (``_bulk.class_weight_stats`` checks its arrays) and
+    decode to zero-sum vectors (``_bulk.decode_many`` checks its array), so
+    the classes and their representatives are built by ``_trusted_class``
+    and ``_trusted_vector``.
     """
     weight = _checked_weight(modulus, weight)
     codes = _bulk.class_sweep(modulus, weight.entries).codes
     return tuple(
-        _trusted_class(weight, ResidueVector(modulus, rep))
+        _trusted_class(weight, _trusted_vector(modulus, rep))
         for rep in _bulk.decode_many(codes, modulus)
     )
 

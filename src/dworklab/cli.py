@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
@@ -40,11 +39,12 @@ from .characters import (
 )
 from .hodge import (
     WitnessConstructionError,
+    _scan,
+    _scan_reports,
     classical_repeat_class,
     construct_repeat_witness,
     dual_class,
     hodge_data,
-    repeated_ht_scan,
     total_dimension,
     totally_nonzero_representatives,
 )
@@ -272,15 +272,19 @@ def cmd_witness(args) -> ReportDocument:
         payload["constructed"] = _witness_dict(constructed)
 
     try:
-        scan = repeated_ht_scan(args.N, weight, "indexed")
+        # the count and the agreement read the sweep's flagged codes; only the printed
+        # reports are built
+        _, sweep, indexed = _scan(args.N, weight, "indexed")
+        count = len(sweep.flagged[indexed])
+        shown = _scan_reports(args.N, weight, "indexed", 50)
         payload["scan"] = {
             "checked": 1,
-            "repeated_class_count": len(scan),
-            "repeated_classes": [_witness_dict(r) for r in scan[:50]],
+            "repeated_class_count": count,
+            "repeated_classes": [_witness_dict(r) for r in shown],
         }
         if constructed is None:
             payload["agreement"] = None
-            if not scan:
+            if not count:
                 warnings.append("no repeated-weight class exists for this (N, W): exhaustive scan is empty")
             else:
                 warnings.append(
@@ -288,10 +292,8 @@ def cmd_witness(args) -> ReportDocument:
                     "classes; the first scanned class is a valid witness"
                 )
         else:
-            # the scan lists its reports in representative order
             rep = constructed.char_class.representative.entries
-            i = bisect_left(scan, rep, key=lambda r: r.char_class.representative.entries)
-            payload["agreement"] = int(i < len(scan) and scan[i].char_class.representative.entries == rep)
+            payload["agreement"] = int(sweep.is_flagged(indexed, rep))
     except ValueError as exc:
         payload["scan"] = {"checked": 0, "reason": str(exc)}
         payload["agreement"] = None

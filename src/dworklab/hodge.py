@@ -18,9 +18,11 @@ N/ord(W) times.  The two agree whenever ord(W) = N, in particular for the
 classical weight.
 
 The per-class functions (``hodge_data``, ``semantics_divergent``, the two
-witness constructions) run the recipe in plain Python.  The exhaustive scan
-does not: it reads ``_bulk.class_sweep``, the one cached sweep per (N, W),
-which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
+witness constructions) run the recipe in plain Python; the witness
+constructions read the N shifts v + kW once for both semantics
+(``_witness_from_class``), and ``hodge_data`` is their oracle.  The
+exhaustive scan does not: it reads ``_bulk.class_sweep``, the one cached
+sweep per (N, W), which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
 ``repeated_class_representatives`` and ``scan_contains`` all reach it
 through one front door, ``_scan``, which checks (N, W, semantics) once.
 The sweep reads one transversal of N^(N-1)/ord(W) zero-sum vectors, one
@@ -31,11 +33,16 @@ weights repeated g = N/ord(W) times, so one sweep holds the flagged classes
 of both semantics, and every report of a scan is set/indexed divergent when
 g > 1 and none is when g = 1.  Each report's other fields (sorted weights,
 least repeated value, multiplicity) come from the sweep's weight array.
-Its classes are built by ``characters._trusted_class``, the constructor
-``class_of`` and ``enumerate_classes`` share, without ``CharClass``'s
-per-class re-canonicalisation: the sweep's codes are those of canonical
-(least) members, and ``_bulk.class_weight_stats`` checks that once on its
-arrays.  The per-class recipe is the scan's test oracle.
+Its reports, classes and representatives skip their ``__post_init__``
+checks (``_trusted_report``, ``characters._trusted_class`` and
+``characters._trusted_vector``); each condition is checked once on the
+arrays instead.  ``_bulk.class_weight_stats`` checks that the codes are
+those of canonical (least) members, ``_bulk.decode_many`` that each
+decoded row sums to 0 mod N, and ``_bulk._check_reports`` that each value
+occurs in its weight row exactly its multiplicity >= 2 times.  The public
+constructors keep all their checks, and the per-class recipe is the scan's
+test oracle.  The CLI builds only the reports it prints (``_scan_reports``
+with a stop) and reads the count from the sweep.
 
 Work that depends only on W's S_N-orbit or on a weight multiset is done
 once.  ``scan_contains`` maps the class into the frame of sorted W (a
@@ -59,7 +66,9 @@ from .characters import (
     WeightVector,
     _checked_weight,
     _least_shift,
+    _shifts,
     _trusted_class,
+    _trusted_vector,
     class_of,
     classical_weight,
     coset_elements,
@@ -126,6 +135,23 @@ class WitnessReport:
             raise ValueError("a witness needs multiplicity >= 2")
         if self.hodge.weights.count(self.repeated_value) != self.multiplicity:
             raise ValueError("stated multiplicity does not match the weight multiset")
+
+
+def _trusted_report(
+    char_class: CharClass, hodge: HodgeData, value: int, multiplicity: int, divergent: bool
+) -> WitnessReport:
+    """A report built without the checks in ``WitnessReport.__post_init__``.
+
+    Only for the reports of the repeated-weight scan: ``_bulk._check_reports``
+    checks the same two conditions once on the arrays they are read from.
+    """
+    report = object.__new__(WitnessReport)
+    object.__setattr__(report, "char_class", char_class)
+    object.__setattr__(report, "hodge", hodge)
+    object.__setattr__(report, "repeated_value", value)
+    object.__setattr__(report, "multiplicity", multiplicity)
+    object.__setattr__(report, "semantics_divergent", divergent)
+    return report
 
 
 class WitnessConstructionError(ValueError):
@@ -198,20 +224,39 @@ def total_dimension(modulus: int, weight: WeightVector | None = None) -> int:
     return ((n - 1) ** n + (-1) ** n * (n - 1)) // n
 
 
-def _witness_from_class(cls: CharClass, semantics: Semantics) -> WitnessReport | None:
-    data = hodge_data(cls, semantics)
-    repeats = data.repeated_values()
-    if not repeats:
+def _sorted_weights(members, modulus: int) -> tuple[int, ...]:
+    return tuple(sorted(sum(u) // modulus - 1 for u in members if all(u)))
+
+
+def _witness_from_class(
+    cls: CharClass, semantics: Semantics, shifts: list[tuple[int, ...]] | None = None
+) -> WitnessReport | None:
+    """The report of one class, or None when its weights under ``semantics``
+    have no repeat: the per-class recipe in one pass.
+
+    ``shifts`` are v + kW for k = 0..N-1 for some member v of the class;
+    when None they are taken from its representative.  Each is a zero-sum
+    tuple of canonical lifts by construction, so no ``ResidueVector`` is
+    built for it.  The indexed weights are read from all N shifts and the
+    set weights from the distinct ones, and the report is divergent when the
+    two differ.  It equals the report built from ``hodge_data(cls, "set")``
+    and ``hodge_data(cls, "indexed")``, the public recipe and its oracle.
+    """
+    n = cls.modulus
+    if shifts is None:
+        shifts = _shifts(cls.representative.entries, cls.weight)
+    indexed = _sorted_weights(shifts, n)
+    distinct = _sorted_weights(set(shifts), n)
+    weights = indexed if semantics == "indexed" else distinct
+    value = next((a for a, b in zip(weights, weights[1:]) if a == b), None)
+    if value is None:
         return None
-    value = repeats[0]
-    # semantics_divergent(cls) would run the recipe for both semantics again
-    other = hodge_data(cls, "indexed" if semantics == "set" else "set")
     return WitnessReport(
         char_class=cls,
-        hodge=data,
+        hodge=HodgeData(n, len(weights), weights, semantics),
         repeated_value=value,
-        multiplicity=data.weights.count(value),
-        semantics_divergent=data.weights != other.weights,
+        multiplicity=weights.count(value),
+        semantics_divergent=indexed != distinct,
     )
 
 
@@ -267,7 +312,9 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
         entries[i] = 0 if gcd(w, n) == 1 else 1
     entries[pivot] = (-sum(entries)) % n
 
-    cls = class_of(entries, weight)
+    # the class's canonical representative is the least of the shifts its recipe reads
+    shifts = _shifts(tuple(entries), weight)
+    cls = _trusted_class(weight, ResidueVector(n, min(shifts)))
     if entries[pivot] == 0:
         raise WitnessConstructionError(
             f"the recipe for W = {weight.entries} forces pivot entry 0 at index {pivot}; "
@@ -275,7 +322,7 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
             "constructed class has no totally nonzero representative"
         )
 
-    report = _witness_from_class(cls, "indexed")
+    report = _witness_from_class(cls, "indexed", shifts)
     # guaranteed: N-1 nonzero-k members are totally nonzero with weights in 1..N-2
     assert report is not None, f"pigeonhole failed for W = {weight.entries}"
     return report
@@ -301,14 +348,26 @@ def repeated_ht_scan(
     """Every class whose weight multiset has a repeat, by exhaustive scan.
 
     Ordered by canonical representative.  Independent of the witness
-    constructions above: it sweeps every class of (N, W) once,
-    and each report's fields come from the sweep's arrays
+    constructions above: it sweeps every class of (N, W) once, and each
+    report's fields come from the sweep's arrays
     (``_bulk.ClassSweep.report_fields``), not from the per-class recipe.
-    The sweep's representatives are canonical, so each class is built by
-    ``_trusted_class``.
+    No report, class or representative runs its own ``__post_init__``:
+    each condition it would check is checked once on the arrays, by
+    ``_bulk._check_canonical`` (canonical codes), ``_bulk.decode_many``
+    (zero-sum rows) and ``_bulk._check_reports`` (value and multiplicity).
+    Each distinct weight row gets one checked ``HodgeData``.
     """
+    return _scan_reports(modulus, weight, semantics)
+
+
+def _scan_reports(
+    modulus: int, weight: WeightVector | None, semantics: Semantics, stop: int | None = None
+) -> tuple[WitnessReport, ...]:
+    """The reports of the scan's first ``stop`` classes (all when None): the
+    one report builder, for ``repeated_ht_scan`` and for the CLI, which
+    prints the first 50."""
     weight, sweep, indexed = _scan(modulus, weight, semantics)
-    weights, dims, values, mults = sweep.report_fields(indexed)
+    codes, weights, dims, values, mults = sweep.report_fields(indexed, stop)
     # one HodgeData per distinct weight row, shared by every report with that row; row
     # entries lie in 0..N, so a row's base-(N+1) value (below 2^63 for N <= 15, past the
     # row limit) identifies it, and a 1-d unique is far cheaper than np.unique(axis=0)
@@ -318,19 +377,11 @@ def repeated_ht_scan(
         HodgeData(modulus, dim, tuple(row[:dim]), semantics)
         for row, dim in zip(weights[first].tolist(), dims[first].tolist())
     ]
-    fields = zip(
-        _bulk.decode_many(sweep.flagged[indexed], modulus),
-        row_of.tolist(),
-        values.tolist(),
-        mults.tolist(),
-    )
+    divergent = sweep.g > 1
+    fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
     return tuple(
-        WitnessReport(
-            char_class=_trusted_class(weight, ResidueVector(modulus, rep)),
-            hodge=hodge[row],
-            repeated_value=value,
-            multiplicity=mult,
-            semantics_divergent=sweep.g > 1,
+        _trusted_report(
+            _trusted_class(weight, _trusted_vector(modulus, rep)), hodge[row], value, mult, divergent
         )
         for rep, row, value, mult in fields
     )
@@ -362,7 +413,4 @@ def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:
     entries = cls.representative.entries
     canon = _least_shift(tuple(entries[i] for i in sigma), sorted_weight)
     _, sweep, indexed = _scan(n, sorted_weight, semantics)
-    codes = sweep.flagged[indexed]
-    code = _bulk.encode_one(canon, n)
-    i = int(np.searchsorted(codes, code))
-    return i < len(codes) and int(codes[i]) == code
+    return sweep.is_flagged(indexed, canon)

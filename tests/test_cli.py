@@ -172,6 +172,30 @@ class TestWitness:
         assert scan["reason"].startswith("class enumeration for modulus 9 needs ")
         assert " rows, over the limit of " in scan["reason"]
 
+    def test_builds_only_printed_reports(self, capsys, monkeypatch):
+        # the count and the agreement come from the sweep's codes: N = 8 builds the
+        # constructed witness and the 50 printed scan reports, not all 125,475
+        from dworklab import hodge
+
+        built = []
+        checked_init, trusted = hodge.WitnessReport.__post_init__, hodge._trusted_report
+
+        def counting_init(report):
+            built.append("checked")
+            checked_init(report)
+
+        def counting_trusted(*fields):
+            built.append("trusted")
+            return trusted(*fields)
+
+        monkeypatch.setattr(hodge.WitnessReport, "__post_init__", counting_init)
+        monkeypatch.setattr(hodge, "_trusted_report", counting_trusted)
+        p = run_json(["witness", "--N", "8"], capsys)["payload"]
+        assert p["scan"]["repeated_class_count"] == 125_475
+        assert len(p["scan"]["repeated_classes"]) == 50
+        assert p["agreement"] == 1
+        assert built.count("checked") == 1 and built.count("trusted") == 50
+
 
 class TestCount:
     def test_singular_t_exits_3(self, capsys):

@@ -10,6 +10,7 @@ import pytest
 from dworklab import _bulk
 from dworklab.characters import (
     CharClass,
+    ResidueVector,
     WeightVector,
     class_of,
     classical_weight,
@@ -21,6 +22,7 @@ from dworklab.characters import (
 from dworklab.hodge import (
     HodgeData,
     WitnessConstructionError,
+    WitnessReport,
     _witness_from_class,
     classical_repeat_class,
     construct_repeat_witness,
@@ -696,21 +698,32 @@ TRUSTED_CASES = [(n, w) for n in range(1, 6) for w in _compositions(n)] + [
 
 
 class TestTrustedConstruction:
-    """Classes built from the sweep skip CharClass's own canonicality check;
-    building the same classes with that check must give equal classes."""
+    """Classes, representatives and reports built from the sweep skip their own
+    ``__post_init__`` checks; building the same objects with those checks must
+    give equal objects."""
 
     def test_enumerated_classes(self):
         for n, weights in TRUSTED_CASES:
             w = WeightVector(n, weights)
             for c in enumerate_classes(n, w):
-                assert c == CharClass(w, c.representative), (weights, c)
+                entries = c.representative.entries
+                assert c.representative == ResidueVector(n, entries), (weights, c)
+                assert c == CharClass(w, ResidueVector(n, entries)), (weights, c)
 
     @pytest.mark.parametrize("semantics", ["set", "indexed"])
     def test_scan_reports(self, semantics):
         for n, weights in TRUSTED_CASES:
             w = WeightVector(n, weights)
             for r in repeated_ht_scan(n, w, semantics):
-                assert r.char_class == CharClass(w, r.char_class.representative), (weights, r)
+                h = r.hodge
+                checked = WitnessReport(
+                    char_class=CharClass(w, ResidueVector(n, r.char_class.representative.entries)),
+                    hodge=HodgeData(h.modulus, h.dimension, h.weights, h.semantics),
+                    repeated_value=r.repeated_value,
+                    multiplicity=r.multiplicity,
+                    semantics_divergent=r.semantics_divergent,
+                )
+                assert r == checked, (weights, r)
 
 
 class TestSweepCheck:
@@ -731,3 +744,104 @@ class TestSweepCheck:
         # member columns moved without their codes: class 7's members sit under class 8's code
         with pytest.raises(RuntimeError, match="least member"):
             _bulk._check_canonical(codes, member[:, swap])
+
+    def test_decoded_row_off_zero_sum_raises(self):
+        codes = _bulk.class_weight_stats(5, (1,) * 5)[0]
+        assert len(_bulk.decode_many(codes, 5)) == len(codes)
+        # code 1 is (0, 0, 0, 0, 1), whose digits sum to 1 mod 5
+        with pytest.raises(RuntimeError, match="zero-sum"):
+            _bulk.decode_many(np.append(codes, 1), 5)
+
+    def _report_arrays(self):
+        # the classical N = 6 scan: 395 reports of multiplicity 2 and 30 of multiplicity 3
+        sweep = _bulk.class_sweep(6, (1,) * 6)
+        _, weights, _, values, mults = sweep.report_fields(True)
+        assert set(mults.tolist()) == {2, 3}
+        return weights, values.copy(), mults.copy()
+
+    def test_report_arrays_accepted(self):
+        _bulk._check_reports(6, *self._report_arrays())
+
+    def test_multiplicity_below_two_raises(self):
+        weights, values, mults = self._report_arrays()
+        mults[0] = 1
+        with pytest.raises(RuntimeError, match="below 2"):
+            _bulk._check_reports(6, weights, values, mults)
+
+    @pytest.mark.parametrize("stated,delta", [(2, 1), (3, 1), (3, -1)])
+    def test_multiplicity_off_its_row_raises(self, stated, delta):
+        weights, values, mults = self._report_arrays()
+        i = int(np.flatnonzero(mults == stated)[0])
+        mults[i] += delta
+        with pytest.raises(RuntimeError, match="does not match"):
+            _bulk._check_reports(6, weights, values, mults)
+
+    def test_value_without_repeat_raises(self):
+        weights, values, mults = self._report_arrays()
+        values[0] = 6
+        with pytest.raises(RuntimeError, match="no repeated weight"):
+            _bulk._check_reports(6, weights, values, mults)
+
+
+def _recipe_report(cls, semantics):
+    """The witness report of a class from the public per-class recipe: one
+    ``hodge_data`` pass per semantics, through the checked constructors."""
+    data = hodge_data(cls, semantics)
+    repeats = data.repeated_values()
+    if not repeats:
+        return None
+    other = hodge_data(cls, "indexed" if semantics == "set" else "set")
+    return WitnessReport(
+        char_class=CharClass(cls.weight, ResidueVector(cls.modulus, cls.representative.entries)),
+        hodge=data,
+        repeated_value=repeats[0],
+        multiplicity=data.weights.count(repeats[0]),
+        semantics_divergent=data.weights != other.weights,
+    )
+
+
+def _pivot_recipe(n, weights):
+    """construct_repeat_witness's vector, rebuilt: 0 or 1 by gcd(w_i, N), the pivot forced."""
+    pivot = weights.index(0)
+    entries = [0 if gcd(w, n) == 1 else 1 for w in weights]
+    entries[pivot] = 0
+    entries[pivot] = -sum(entries) % n
+    return tuple(entries), pivot
+
+
+class TestOnePassRecipe:
+    """``_witness_from_class`` reads the N shifts once for both semantics; a
+    report built from one ``hodge_data`` pass per semantics is its oracle."""
+
+    def test_constructed_witnesses(self):
+        built = refused = 0
+        for n in range(3, 7):
+            for weights in _compositions(n):
+                w = WeightVector(n, weights)
+                if w.classical:
+                    continue
+                entries, pivot = _pivot_recipe(n, weights)
+                if entries[pivot] == 0:
+                    with pytest.raises(WitnessConstructionError):
+                        construct_repeat_witness(n, w)
+                    refused += 1
+                    continue
+                report = construct_repeat_witness(n, w)
+                assert report == _recipe_report(class_of(entries, w), "indexed"), weights
+                built += 1
+        # 629 non-classical W at N = 3..6; the refusal family, the permutations of
+        # (0, 2, 1, ..., 1) at odd N, has 3! + 5!/3! of them
+        assert (built, refused) == (629 - 26, 6 + 20)
+
+    @pytest.mark.parametrize("semantics", ["set", "indexed"])
+    def test_every_class_up_to_n4(self, semantics):
+        for n in range(1, 5):
+            for weights in _compositions(n):
+                for c in enumerate_classes(n, WeightVector(n, weights)):
+                    assert _witness_from_class(c, semantics) == _recipe_report(c, semantics), (
+                        weights, semantics, c)
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 10])
+    def test_classical_repeat_class(self, n):
+        seed = (0, 0, 0, 2, 2, 2) if n == 6 else (4, n - 2, n - 2) + (0,) * (n - 3)
+        assert classical_repeat_class(n) == _recipe_report(class_of(seed, classical_weight(n)), "set")
