@@ -33,15 +33,16 @@ pair of elements against the polynomial arithmetic the fields are built on.
   the d + 1 cyclotomic classes {0} and g^i H (H the N-th powers, d =
   gcd(N, q-1)), so they are counted by a (d+1) x (d+1) matrix of
   cyclotomic numbers.  On the totally nonzero torus it normalizes the last
-  coordinate to 1 and resolves the first coordinate through the table
-  M[c][a] = #{x != 0 : x^N - c x = a}, the only table of either counter
-  larger than q.  The roots of unity mu_d act on the torus without changing
-  a term, so both the sweep and M are quotiented by them: with
-  r = (q-1)/d, M has r rows of q entries.  A term depends only on the sum
-  of the middle logs and of their N-th powers, so the sweep visits each
-  multiset of N-2 logs in [0, r) once, C(r+N-3, N-2) of them, weighted by
-  its multinomial; each stands for its orderings times d^(N-2) tuples.
-  Total work O(C(r+N-3, N-2) + r q) instead of O(q^(N-1)).
+  coordinate to 1 and resolves the first coordinate through
+  M[c][a] = #{x != 0 : x^N - c x = a}.  Scaling x shows that M[c][a]
+  depends only on (N-1) log a - N log c mod q-1 when a, c != 0, so M is
+  one line of 5(q-1) entries (`_m_line`).  The roots of unity mu_d act on
+  the torus without changing a term, so the sweep is quotiented by them,
+  with r = (q-1)/d.  A term depends only on the sum of the middle logs and of
+  their N-th powers, so the sweep visits each multiset of N-2 logs in
+  [0, r) once, C(r+N-3, N-2) of them, weighted by its multinomial; each
+  stands for its orderings times d^(N-2) tuples.  Total work
+  O(C(r+N-3, N-2) + e q), e = gcd(N-1, q-1), instead of O(q^(N-1)).
 
 ``tower_counts`` uses the stratified counter for the classical weight and
 the naive one otherwise.  Both counters split their outer loop into ranges
@@ -722,7 +723,6 @@ def count_projective_naive(
 
 _GRID_MIN = 1 << 13  # r^inner, the ordered tuples the inner grid of sorted ones stands for: at least,
 _GRID_MAX = 1 << 21  # and at most (past this, its arrays fall out of cache)
-_M_BLOCK = 1 << 18  # entries of the M table built per vector pass
 
 
 def _grid_split(r: int, middle: int) -> int:
@@ -740,13 +740,13 @@ def _fast_work(q: int, N: int) -> int:
 
     With r = (q-1)/gcd(N, q-1), the torus sweep visits the C(r+N-3, N-2)
     multisets of N-2 logs in [0, r) and builds one q-entry column table per
-    outer tuple (`_grid_split`); the M table has r rows of q entries, and
-    the zero stratum reads q-1 Zech logs.
+    outer tuple (`_grid_split`); the M line reads e = gcd(N-1, q-1) rows of
+    q-1 Zech logs (`_m_line`), and the zero stratum reads q-1 more.
     """
     r = (q - 1) // gcd(N, q - 1)
     middle = max(N - 2, 0)
     outer = middle - _grid_split(r, middle)
-    return comb(r + middle - 1, middle) + comb(r + outer - 1, outer) * q + r * q + q
+    return comb(r + middle - 1, middle) + comb(r + outer - 1, outer) * q + gcd(N - 1, q - 1) * q + q
 
 
 def _zero_stratum(field: FiniteField, N: int) -> int:
@@ -783,35 +783,41 @@ def _zero_stratum(field: FiniteField, N: int) -> int:
     return affine // n
 
 
-def _m_table(field: FiniteField, N: int, c_zero: bool) -> np.ndarray:
-    """M[k][b] = #{x != 0 : x^N - c x = g^b}, c = g^k, as int32 of shape ((q-1)/d, q).
+def _m_line(field: FiniteField, N: int, c_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+    """M[c][a] = #{x != 0 : x^N - c x = a} as one int32 line and its column map.
 
-    Here d = gcd(N, q-1).  Rows repeat with period (q-1)/d: for a d-th root
-    of unity z, x -> x/z turns x^N - z c x into x^N - c x, so only the first
-    (q-1)/d rows are built.  Column q-1 counts x^N - c x = 0.  With c_zero
-    the one row is c = 0.  Rows are built in blocks: for x = g^j,
-    x^N - c x = g^(Nj) (1 + g^(k + j + h - Nj)) with g^h = -1, one Zech
-    lookup per entry.
+    With n = q-1, b = log a (n for a = 0) and c = g^k, M[c][a] is
+    line[amap[b] + (-N k mod n)].  The map x -> z x sends (c, a) to
+    (c z^(1-N), a z^(-N)).  For a != 0 it keeps w = (N-1) b - N k mod n and
+    acts freely, as gcd(N-1, N) = 1, so its n orbits are the n fibers of w
+    and M[c][a] = F[w].  M[c][0] = #{x : x^(N-1) = c} is e = gcd(N-1, n)
+    when e | k and 0 otherwise, which -N k mod n tells, as e | n and
+    N = 1 mod e.  N r = 0 mod n for r = (q-1)/gcd(N, q-1), so k mod r gives
+    the same index.  The sweep adds the row term in two parts below n each,
+    which the line absorbs instead of reducing: it is F three times, then
+    the a = 0 entries twice from 3n, and amap[b] = (N-1) b mod n with
+    amap[n] = 3n.  F is counted on the rows k = 0..e-1, which meet every
+    fiber of w: for x = g^j, x^N - g^k x = g^(Nj) (1 + g^(k + j + h - Nj))
+    with g^h = -1, one Zech lookup per entry, and each w is hit by e
+    columns b of its row, all with the same count.  With c_zero the line
+    is the one row c = 0, read at amap[b] = b.
     """
     log, zech = field.log_tables()
     q, n = field.q, field.q - 1
     j = np.arange(n, dtype=np.int64)
     power = N * j % n
     if c_zero:
-        return np.bincount(power, minlength=q).astype(np.int32)[None, :]
-    rows = n // gcd(N, n)
-    table = np.empty((rows, q), dtype=np.int32)
+        return np.arange(q, dtype=np.int64), np.bincount(power, minlength=q).astype(np.int32)
+    e = gcd(N - 1, n)
     h = int(log[field.neg(1)])
-    shift = (j + h - power) % n
-    zech2 = _zech2(zech, n)
-    fold = _fold(n)
-    block = max(1, _M_BLOCK // q)
-    for k0 in range(0, rows, block):
-        k = np.arange(k0, min(k0 + block, rows), dtype=np.int64)
-        cols = fold[power + zech2[k[:, None] + shift]]
-        cols += (k - k0)[:, None] * q
-        table[k0 : k0 + len(k)] = np.bincount(cols.ravel(), minlength=len(k) * q).reshape(len(k), q)
-    return table
+    k = np.arange(e, dtype=np.int64)[:, None]
+    z = zech[(k + j + h - power) % n]
+    w = ((N - 1) * (power + z) - N * k) % n
+    F = np.bincount(w[z != n], minlength=n) // e
+    Z = np.where(np.arange(n) % e == 0, e, 0)
+    amap = (N - 1) * np.arange(q, dtype=np.int64) % n
+    amap[n] = 3 * n
+    return amap, np.concatenate([F, F, F, Z, Z]).astype(np.int32)
 
 
 def count_projective_fast(
@@ -824,11 +830,13 @@ def count_projective_fast(
     classes (`_zero_stratum`).  Torus stratum: normalize the last coordinate
     to 1, run over the logs l_i of the N-2 middle coordinates y_i, and read
     off the number of first coordinates x from
-    M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N).
+    M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N),
+    one lookup in the line of `_m_line` at the column map of a plus a row
+    term -N log c mod q-1, split into one part per outer and per inner tuple.
     The d = gcd(N, q-1) roots of unity z in mu_d quotient the sweep: y -> z y
-    keeps y^N and multiplies c by z, which leaves M's row unchanged
-    (`_m_table`).  So each l_i runs over 0..r-1 only, r = (q-1)/d, and the
-    torus sum is multiplied by d^(N-2).  A term depends only on sum l_i and
+    keeps y^N and multiplies c by z, which leaves the row term unchanged.
+    So each l_i runs over 0..r-1 only, r = (q-1)/d, and the torus sum is
+    multiplied by d^(N-2).  A term depends only on sum l_i and
     sum y_i^N, so the sweep runs over multisets of logs, as non-decreasing
     tuples weighted by their multinomials (N-2)!/prod c_v!, where c_v counts
     the log v.  The last middle coordinates form a fixed grid of sorted
@@ -853,9 +861,9 @@ def count_projective_fast(
     started = time.perf_counter()
     log, zech = field.log_tables()
     ct = field.mul(N % field.p, spec.t)
-    # M rows are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
+    # rows are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
     rows = 1 if ct == 0 else r
-    m_flat = _m_table(field, N, ct == 0).ravel()
+    amap, line = _m_line(field, N, ct == 0)
 
     h = int(log[field.neg(1)])
     # each log l_i < r stands for its d representatives l_i + k r, which share y^N
@@ -891,8 +899,9 @@ def count_projective_fast(
     inner = _grid_split(r, middle)
     outer = middle - inner
     lin, neg_sin, first, lead, _, _, m_in = grid(inner, 0, n)
-    # (row - rows) * q indexes M from its end: row + L wraps past `rows` for free
-    base = (lin - rows) * q
+    # the row term -N log c of the line, one part per inner and per outer
+    # tuple; both are 0 when t = 0, as rows = 1
+    base = -N * lin % n
     size = len(base)
     # Inner tuples whose first log is at least v form the suffix from
     # suffix[v], in segments of a = inner, inner-1, ..., 1 leading copies
@@ -904,6 +913,7 @@ def count_projective_fast(
     del lin, first, lead
 
     lout, neg_uout, _, _, top, run, m_out = grid(outer, int(log[ct]) if ct else 0, 0)
+    rout = -N * lout % n
     start = suffix[top]
     # A multiset weighs its multinomial (N-2)!/prod c_v!.  That of an outer
     # tuple O followed by an inner tuple I is C(N-2, inner) m(O) m(I) when
@@ -912,30 +922,30 @@ def count_projective_fast(
     weight = [comb(middle, inner) * m for m in m_out.tolist()]
     divisors = [[comb(a + c, c) for a in range(inner, -1, -1)] for c in range(outer + 1)]
     zech2 = _zech2(zech, n)
-    fold = _fold(n).astype(np.int64)
-    all_logs = np.arange(q, dtype=np.int64)
+    # log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu, mapped into the line
+    line_fold = amap[_fold(n)]
 
     def sweep(begin: int, end: int) -> int:
         cols = np.empty(q, dtype=np.int64)
         idx = np.empty(size, dtype=np.int64)
-        vals = np.empty(size, dtype=m_flat.dtype)
+        vals = np.empty(size, dtype=line.dtype)
         hits = 0
-        for lo, nu, s, ends, c, w in zip(
-            lout[begin:end].tolist(), neg_uout[begin:end].tolist(), start[begin:end].tolist(),
+        for ro, nu, s, ends, c, w in zip(
+            rout[begin:end].tolist(), neg_uout[begin:end].tolist(), start[begin:end].tolist(),
             bounds[:, top[begin:end]].T.tolist(), run[begin:end].tolist(), weight[begin:end],
         ):
-            # column of each inner tuple: log(-(u + s)) = log((-u) + (-s)), plus
-            # the row shift; log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu
+            # line position of a = -(u + s) = (-u) + (-s) for each inner tuple,
+            # read from its log, plus the outer row term
             if nu == n:
-                np.add(all_logs, lo * q, out=cols)
+                np.add(amap, ro, out=cols)
             else:
-                np.take(fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
-                cols[n] = nu
-                cols += lo * q
+                np.take(line_fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
+                cols[n] = amap[nu]
+                cols += ro
             k = size - s
             np.take(cols, neg_sin[s:], out=idx[:k])
             idx[:k] += base[s:]
-            np.take(m_flat, idx[:k], out=vals[:k])
+            np.take(line, idx[:k], out=vals[:k])
             # int64 dot products, each at most N sum m(I) <= N r^inner
             a = s
             for b, divisor in zip(ends, divisors[c]):

@@ -1,6 +1,10 @@
 """Finite fields, fiber counts, traces, bounds, group action, towers."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
 from math import comb, factorial, gcd
@@ -443,12 +447,20 @@ class TestFastCounter:
             count_projective_naive(spec).projective_count
 
     def test_budget_counts_the_m_table(self):
-        # 100 torus tuples, but the M table alone has about 101^2 entries
-        spec = FiberSpec(3, classical_weight(3), 2, field_make(101, 1))
+        # N = 3 over F_101: the estimate is the r = 100 multisets, one column
+        # table of q entries, the M line's e = gcd(2, 100) = 2 rows of q Zech
+        # logs and q for the zero stratum, far below q^2; one below it is
+        # refused with the same estimate, and a count at it equals naive
+        q = 101
+        spec = FiberSpec(3, classical_weight(3), 2, field_make(q, 1))
         with pytest.raises(BudgetError) as err:
-            count_projective_fast(spec, budget=5_000)
-        assert err.value.required > 101 ** 2
-        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+            count_projective_fast(spec, budget=100)
+        required = err.value.required
+        assert required == 100 + q + 2 * q + q < q ** 2
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=required - 1)
+        assert err.value.required == required
+        assert count_projective_fast(spec, budget=required).projective_count == \
             count_projective_naive(spec).projective_count
 
     def test_equal_counts_compare_equal(self):
@@ -555,12 +567,18 @@ class TestFastQuotient:
         _assert_fast_equals_naive(field_make(p, m), n, workers)
 
     def test_budget_counts_the_quotient(self):
-        # gcd(3, 30) = 3: an M table of 10 rows of 31, not 31^2 entries
-        spec = FiberSpec(3, classical_weight(3), 2, field_make(31, 1))
+        # gcd(3, 30) = 3: r = 10 multisets, and the M line's e = gcd(2, 30) = 2
+        # rows of Zech logs; the estimate stays below the r q entries of M's rows
+        q = 31
+        spec = FiberSpec(3, classical_weight(3), 2, field_make(q, 1))
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=100)
-        assert 10 * 31 < err.value.required < 31 ** 2
-        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+        required = err.value.required
+        assert required == 10 + q + 2 * q + q < 10 * q
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=required - 1)
+        assert err.value.required == required
+        assert count_projective_fast(spec, budget=required).projective_count == \
             count_projective_naive(spec).projective_count
 
     def test_budget_counts_multisets(self):
@@ -572,22 +590,37 @@ class TestFastQuotient:
         assert count_projective_fast(spec, budget=err.value.required).projective_count == \
             count_projective_naive(spec).projective_count
 
-    @pytest.mark.parametrize("p,m,n", [(7, 1, 3), (13, 1, 6), (2, 4, 5), (5, 2, 4), (11, 1, 3)])
+    # e = gcd(N-1, q-1) is 2, 1, 1, 3, 2, 4, 4, 6, 6 and 1; d = gcd(N, q-1) is
+    # 3, 6, 5, 4, 1, 1, 5, 1, 7 and 7
+    @pytest.mark.parametrize("p,m,n", [
+        (7, 1, 3), (13, 1, 6), (2, 4, 5), (5, 2, 4), (11, 1, 3),
+        (13, 1, 5), (3, 4, 5), (13, 1, 7), (43, 1, 7), (2, 3, 7),
+    ])
     def test_m_table_rows_repeat(self, p, m, n):
-        # row k of the full table, counted directly, is row k mod (q-1)/d
+        # M[c][a] read from the line as the sweep reads it, for every pair
+        # (c, a) in F_q x F_q, against a direct count of x^N - c x = a: the row
+        # term of c = g^k is that of k mod r, r = (q-1)/d, added in the two
+        # parts -N lo and -N li mod q-1 for every lo + li = k mod r
         field = field_make(p, m)
-        q = field.q
-        rows = (q - 1) // gcd(n, q - 1)
-        table = counting._m_table(field, n, False)
-        assert table.shape == (rows, q)
+        q, nq = field.q, field.q - 1
+        r = nq // gcd(n, nq)
         log, _ = field.log_tables()
         g = field.generator()
-        for k in range(q - 1):
+        amap, line = counting._m_line(field, n, False)
+        for k in range(nq):
             c = field.pow(g, k)
             row = [0] * q
             for x in range(1, q):
-                row[log[field.sub(field.pow(x, n), field.mul(c, x))]] += 1
-            assert table[k % rows].tolist() == row, k
+                row[field.sub(field.pow(x, n), field.mul(c, x))] += 1
+            for li in range(r):
+                lo = (k - li) % r
+                assert line[amap[log] + -n * lo % nq + -n * li % nq].tolist() == row, (k, li)
+        # the c = 0 row, read at the log of a
+        amap, line = counting._m_line(field, n, True)
+        row = [0] * q
+        for x in range(1, q):
+            row[field.pow(x, n)] += 1
+        assert line[amap[log]].tolist() == row
 
 
 # (p, m, N) with r = (q-1)/gcd(N, q-1) between 2 and 8, so that a grid of
@@ -744,6 +777,57 @@ def _hasse_witt(p, n, t):
     ) % p
 
 
+def _hasse_witt_mod_p(p, n, t):
+    """`_hasse_witt` in arithmetic mod p: the factorials below p are units mod p."""
+    fact = [1] * p
+    for i in range(1, p):
+        fact[i] = fact[i - 1] * i % p
+    return sum(
+        fact[p - 1] * pow(fact[p - 1 - n * k] * pow(fact[k], n, p), -1, p)
+        * pow(-n * t, p - 1 - n * k, p)
+        for k in range((p - 1) // n + 1)
+    ) % p
+
+
+class TestFastMemory:
+    """The M line has O(q) entries, so cubics near q = 2^15 count under a 1 GiB cap."""
+
+    def test_mod_p_oracle_equals_exact(self):
+        for p in (2, 5, 7, 11, 13):
+            for n in (3, 4, 5, 6):
+                for t in range(p):
+                    assert _hasse_witt_mod_p(p, n, t) == _hasse_witt(p, n, t), (p, n, t)
+
+    def test_cubic_near_two_pow_15_under_memory_cap(self):
+        # gcd(3, p - 1) is 3 at 32,749 and 1 at 32,771.  Run apart under a
+        # 1 GiB address-space cap, so that an allocation of r x q int32 counts
+        # (1.4 GB and 4.3 GB at these primes) fails here instead of exhausting
+        # the machine's memory.  By Weil |a_p| <= 2 sqrt(p) < p/2, so the
+        # centred Hasse-Witt residue is the trace itself
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        primes = (32749, 32771)
+        assert [gcd(3, p - 1) for p in primes] == [3, 1]
+        code = (
+            "import json; from dworklab.characters import classical_weight; "
+            "from dworklab.counting import FiberSpec, count_projective_fast, field_make; "
+            "print(json.dumps([count_projective_fast(FiberSpec(3, classical_weight(3), 2, "
+            f"field_make(p, 1))).trace for p in {primes}]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for p, trace in zip(primes, json.loads(proc.stdout)):
+            residue = _hasse_witt_mod_p(p, 3, 2)
+            assert trace == (residue if residue < p / 2 else residue - p), (p, trace)
+            assert trace * trace <= 4 * p
+
+
 class TestEvenTraces:
     """One trace formula for every N, checked where the old odd-only path had none."""
 
@@ -889,7 +973,7 @@ class TestTower:
             assert fc.strategy == "fast"
             assert fc.projective_count == count_projective_naive(fc.spec).projective_count
 
-    @pytest.mark.parametrize("p,t,levels", [(7, 3, 4), (5, 2, 5)])
+    @pytest.mark.parametrize("p,t,levels", [(7, 3, 4), (5, 2, 5), (7, 3, 5), (5, 2, 6)])
     def test_hesse_cubic_frobenius_recurrence(self, p, t, levels):
         # a smooth plane cubic has genus one: a_k = alpha^k + beta^k with
         # alpha beta = p, so a_(k+1) = a_1 a_k - p a_(k-1) with a_0 = 2, a
