@@ -117,8 +117,8 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...]):
     nonzero mod N.  The table is stepped by W in place, member k's code is a
     Horner pass over its N rows and its weight is read from the same rows,
     and the columns are argsorted by their least member.  Each array is
-    gathered once, and ``_check_canonical`` checks the result before it is
-    returned.
+    gathered into that order in place, one row at a time, and
+    ``_check_canonical`` checks the result before it is returned.
     """
     n = modulus
     g = gcd(n, *weight)
@@ -147,9 +147,10 @@ def class_weight_stats(modulus: int, weight: tuple[int, ...]):
 
     canon = member.min(axis=0)
     order = np.argsort(canon)
-    # one array at a time, so that only one old array outlives its copy
-    weights = weights.take(order, axis=1)
-    member = member.take(order, axis=1)
+    # one row at a time, in place, so that no second (ord(W), classes) array is made
+    for table in (weights, member):
+        for row in table:
+            row[...] = row.take(order)
     codes = canon.take(order)
     _check_canonical(codes, member)
     _sort_columns(weights)

@@ -7,7 +7,7 @@ Subcommands
     count     exact fiber point counts, traces, bound checks, towers
     report    the full classical table document for N = 5
 
-Every command accepts --format json|text, --workers (at most the number of
+Every command accepts --format json|text, --workers (from 1 to the number of
 CPUs), --budget and --out.
 JSON goes to stdout (or the --out file), diagnostics to stderr.  Payloads
 contain exact integers only, orderings are deterministic, and repeated runs
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--workers", type=int, default=1,
-                        help="counting threads, at most the number of CPUs")
+                        help="counting threads, from 1 to the number of CPUs")
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common.add_argument("--out", default=None, help="write the document to a file")
 
@@ -534,8 +534,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     cpus = os.cpu_count() or 1
-    if args.workers > cpus:
-        print(f"error: --workers {args.workers} exceeds the {cpus} CPUs of this machine",
+    if not 1 <= args.workers <= cpus:
+        print(f"error: --workers {args.workers} is outside 1..{cpus}, the CPUs of this machine",
               file=sys.stderr)
         return EXIT_USAGE
 

@@ -20,8 +20,11 @@ and the point count determines the middle trace exactly, for every N
 
 Two counters are provided and must agree.  Both read the same field
 tables: logs over a generator, with Zech logs for addition
-(`FiniteField.log_tables`), each of size q; a test checks them on every
-pair of elements against the polynomial arithmetic the fields are built on.
+(`FiniteField.log_tables`), each of size q.  A prime field computes its
+scalars on plain integers; an extension field computes in logs, and builds
+its modulus, generator and tables on F_p matrices (the companion matrix of
+the modulus and its powers).  A test checks the tables on every pair of
+elements against schoolbook polynomial arithmetic.
 
 * ``count_projective_naive`` walks every normalized projective point (first
   nonzero coordinate scaled to 1) and evaluates the equation in logs, one
@@ -88,6 +91,7 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000_000  # evaluated candidates per invocation
 _MAX_TABLE_Q = 1 << 22  # exp/log tables refuse beyond this
 _BUILD_BLOCK = 1 << 16  # exp entries computed per vector step
+_GEN_BLOCK = 8  # generator candidates tested per matrix stack
 
 
 class SmoothnessError(ValueError):
@@ -138,60 +142,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# ---------------------------------------------------------------------------
-# polynomials over F_p, coefficients low degree first, used only to build fields
-
-
-def _poly_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem(a, b, p):
-    """Remainder of a modulo b over F_p (b nonzero)."""
-    a = [x % p for x in a]
-    _poly_trim(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while a and len(a) - 1 >= db:
-        factor = a[-1] * inv_lead % p
-        shift = len(a) - 1 - db
-        for i, c in enumerate(b):
-            a[i + shift] = (a[i + shift] - factor * c) % p
-        _poly_trim(a)
-    return a
-
-
-def _poly_mulmod(a, b, mod, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_rem(out, mod, p)
-
-
-def _poly_powmod(base, e, mod, p):
-    result = [1]
-    base = _poly_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod, p)
-        base = _poly_mulmod(base, base, mod, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
@@ -206,29 +156,64 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _minus_x(h, p):
-    out = list(h)
-    while len(out) < 2:
-        out.append(0)
-    out[1] = (out[1] - 1) % p
-    return _poly_trim(out)
+def _check_table_q(q: int) -> None:
+    if q > _MAX_TABLE_Q:
+        raise CapabilityError(f"field of order {q} exceeds the table limit {_MAX_TABLE_Q}")
+
+
+# ---------------------------------------------------------------------------
+# F_p matrices, used only to build fields
+#
+# An element h of F_p[x]/f is the row vector of its digits, low degree first,
+# and multiplication by h is the matrix M(h) whose row j holds the digits of
+# x^j h.  M(x) is the companion matrix C of f, and M(h) = sum_j h_j C^j.
+# In a prime field M(h) is the 1 x 1 matrix [h].  Entries stay below p, so
+# the sums in a product stay below m p^2, which q = p^m <= _MAX_TABLE_Q keeps
+# far below 2^63.
+
+
+def _companion(coeffs: tuple[int, ...], p: int) -> np.ndarray:
+    """C = M(x) for the monic f with these coefficients: row j holds the digits of x^(j+1) mod f."""
+    m = len(coeffs) - 1
+    c = np.eye(m, k=1, dtype=np.int64)
+    c[-1] = [-a % p for a in coeffs[:m]]
+    return c
+
+
+def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for an F_p matrix, or elementwise for a stack of them (e >= 0)."""
+    out = np.broadcast_to(np.eye(a.shape[-1], dtype=np.int64), a.shape).copy()
+    while e:
+        if e & 1:
+            out = out @ a % p
+        e >>= 1
+        if e:
+            a = a @ a % p
+    return out
 
 
 def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's test: x^(p^m) = x mod f, and gcd(x^(p^(m/l)) - x, f) = 1 for primes l | m."""
+    """Rabin's test on the companion matrix C of f: C^(p^m) = C, and C^(p^(m/l)) - C is a unit for primes l | m.
+
+    C^(p^m) = C says that f divides x^(p^m) - x, so F_p[x]/f is a product of
+    fields F_(p^d) with d | m.  In such a ring h is a unit, that is
+    gcd(h, f) = 1, exactly when h^(p^m - 1) = 1.
+    """
     m = len(coeffs) - 1
     if m == 1:
         return True
     if coeffs[0] == 0:  # x divides f
         return False
-    mod = list(coeffs)
+    c = _companion(coeffs, p)
     checkpoints = {m // ell for ell in _prime_factors(m)}
-    h = [0, 1]
+    h, diffs = c, []
     for i in range(1, m + 1):
-        h = _poly_powmod(h, p, mod, p)
-        if i in checkpoints and len(_poly_gcd(mod, _minus_x(h, p), p)) > 1:
-            return False
-    return not _minus_x(h, p)
+        h = _mat_pow(h, p, p)
+        if i in checkpoints:
+            diffs.append((h - c) % p)
+    if not np.array_equal(h, c):
+        return False
+    return bool((_mat_pow(np.stack(diffs), p ** m - 1, p) == np.eye(m, dtype=np.int64)).all())
 
 
 class FiniteField:
@@ -243,7 +228,9 @@ class FiniteField:
     other field computation goes through one representation: logs over the
     generator, with Zech logs for addition (`log_tables`).  Both counters
     read these arrays; extension fields build them on construction, prime
-    fields on first use.
+    fields on first use.  F_p matrices, the matrices M(h) of multiplication
+    by h, appear only inside construction: in the modulus test and the
+    generator search of an extension field, and in every table build.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_generator")
@@ -259,24 +246,15 @@ class FiniteField:
         self._generator = None
         self._spot_check()
 
-    # -- encoding helpers
-
-    def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _undigits(self, coeffs) -> int:
-        out = 0
-        for c in reversed(coeffs[: self.m] + [0] * max(0, self.m - len(coeffs))):
-            out = out * self.p + c
-        return out
-
-    def _raw_mul(self, a: int, b: int) -> int:
-        prod = _poly_mulmod(self._digits(a), self._digits(b), list(self.modulus), self.p)
-        return self._undigits(prod)
+    def _matrices(self, codes: np.ndarray) -> np.ndarray:
+        """The stack of M(h) for the codes h (see `_companion`)."""
+        p, m = self.p, self.m
+        c = _companion(self.modulus, p)
+        powers = [np.eye(m, dtype=np.int64)]
+        for _ in range(1, m):
+            powers.append(powers[-1] @ c % p)
+        digits = codes[:, None] // p ** np.arange(m, dtype=np.int64) % p
+        return np.tensordot(digits, np.stack(powers), axes=1) % p
 
     def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exp, log, zech), built on first use; see `log_tables`."""
@@ -287,18 +265,16 @@ class FiniteField:
     def _build_tables(self):
         """exp, log and Zech-log arrays of size q over the generator g.
 
-        Multiplication by g^k is F_p-linear on digit vectors; its matrix G_k
-        has the digits of x^j g^k in row j.  So exp doubles: g^(k+i) is
-        exp[i] times G_k for i < k, and G_2k = G_k^2, about log2(q) vector
-        steps in all.  exp[q-1] = 0 is the antilog of the log of 0.
+        Multiplication by g^k is the F_p matrix M(g^k), which has the digits
+        of x^j g^k in row j.  So exp doubles: g^(k+i) is exp[i] times
+        M(g^k) for i < k, and M(g^2k) = M(g^k)^2, about log2(q) vector steps
+        in all.  exp[q-1] = 0 is the antilog of the log of 0.
         """
         q, p, m = self.q, self.p, self.m
-        if q > _MAX_TABLE_Q:
-            raise CapabilityError(f"field of order {q} exceeds the table limit {_MAX_TABLE_Q}")
+        _check_table_q(q)
         n = q - 1
         place = p ** np.arange(m, dtype=np.int64)
-        g = self.generator()
-        step = np.array([self._digits(self._raw_mul(int(x), g)) for x in place])
+        step = self._matrices(np.array([self.generator()]))[0]
         exp = np.zeros(q, dtype=np.int64)
         exp[0] = 1
         k = 1
@@ -319,15 +295,6 @@ class FiniteField:
         for table in (exp, log, zech):
             table.flags.writeable = False
         self._exp, self._log, self._zech = exp, log, zech
-
-    def _raw_pow(self, a: int, e: int) -> int:
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
 
     def _spot_check(self):
         # field axioms on a deterministic sample of triples
@@ -351,12 +318,21 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self.m == 1:
             return (a + b) % self.p
-        return self._undigits([(x + y) % self.p for x, y in zip(self._digits(a), self._digits(b))])
+        if a == 0 or b == 0:
+            return a or b
+        exp, log, zech = self._tables()
+        n = self.q - 1
+        z = zech[(log[b] - log[a]) % n]  # g^la + g^lb = g^la (1 + g^(lb - la))
+        return 0 if z == n else int(exp[(log[a] + z) % n])
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
-        return self._undigits([(-x) % self.p for x in self._digits(a)])
+        if a == 0:
+            return 0
+        exp, log, _ = self._tables()
+        # -1 is the code p - 1
+        return int(exp[(log[a] + log[self.p - 1]) % (self.q - 1)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -391,19 +367,29 @@ class FiniteField:
         """The least multiplicative generator by code, the base of the exp/log tables.
 
         For prime q > 2 this is the least primitive root; for F_2 it is 1.
+        In an extension field the candidates are tested `_GEN_BLOCK` at a
+        time, as a stack of matrices M(g).
         """
         if self._generator is None:
             q, p = self.q, self.p
             exponents = [(q - 1) // r for r in _prime_factors(q - 1)]
             if self.m == 1:
                 # g = 1 passes only for q = 2, where q - 1 has no prime factor
-                candidates, power = range(1, q), lambda g, e: pow(g, e, p)
+                self._generator = next(
+                    g for g in range(1, q) if all(pow(g, e, p) != 1 for e in exponents)
+                )
             else:
+                identity = np.eye(self.m, dtype=np.int64)
                 # codes below p lie in F_p, whose orders divide p - 1 < q - 1
-                candidates, power = range(p, q), self._raw_pow
-            self._generator = next(
-                g for g in candidates if all(power(g, e) != 1 for e in exponents)
-            )
+                for start in range(p, q, _GEN_BLOCK):
+                    codes = np.arange(start, min(start + _GEN_BLOCK, q), dtype=np.int64)
+                    mats = self._matrices(codes)
+                    ok = np.ones(len(codes), dtype=bool)
+                    for e in exponents:
+                        ok &= (_mat_pow(mats, e, p) != identity).any(axis=(1, 2))
+                    if ok.any():
+                        self._generator = int(codes[ok.argmax()])
+                        break
         return self._generator
 
     # -- vectorized helpers for the counters
@@ -419,11 +405,6 @@ class FiniteField:
         are read-only and refused past `_MAX_TABLE_Q`.
         """
         return self._tables()[1:]
-
-    def pow_table(self, e: int) -> np.ndarray:
-        """t[x] = x^e for every code x (e >= 0, with 0^0 = 1), as int64."""
-        exp, log, _ = self._tables()
-        return exp[_log_power(log, e, self.q - 1)]
 
     def __eq__(self, other):
         return (
@@ -453,6 +434,9 @@ def field_make(p: int, m: int) -> FiniteField:
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
+    if m > 1:
+        # refused before the modulus search, which alone would take seconds
+        _check_table_q(p ** m)
     # tails generated one at a time, c_0 the most significant base-p digit of
     # i: itertools.product would first copy range(p), p entries
     for i in range(p ** m):

@@ -341,6 +341,13 @@ class TestCount:
         assert code == 2
         assert out == "" and "--workers" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_exits_2(self, capsys, workers):
+        code, out, err = run(["count", "--N", "3", "--p", "7", "--t", "3", "--workers", workers],
+                             capsys)
+        assert code == 2
+        assert out == "" and "--workers" in err
+
 
 class TestReport:
     def test_document(self, capsys):

@@ -32,7 +32,6 @@ from dworklab.counting import (
     tower_counts,
     weil_bound_ok,
 )
-from dworklab.counting import _poly_mulmod
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -89,6 +88,53 @@ def _has_singular_point(n, weight, t, f):
             ):
                 return True
     return False
+
+
+# schoolbook polynomials over F_p, coefficients low degree first: the oracle
+# for the fields, which compute on companion matrices and in logs
+
+
+def _poly_rem(a, f, p):
+    """Remainder of a modulo the monic f over F_p, as len(f) - 1 coefficients."""
+    a = [c % p for c in a]
+    m = len(f) - 1
+    for top in range(len(a) - 1, m - 1, -1):
+        c = a[top]
+        if c:
+            for i, fi in enumerate(f):
+                a[top - m + i] = (a[top - m + i] - c * fi) % p
+    return (a + [0] * m)[:m]
+
+
+def _poly_mulmod(a, b, f, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _poly_rem(out, f, p)
+
+
+def _code_pow(field, a, e):
+    """a^e for the code a, by square-and-multiply on the digits of a modulo the field's modulus."""
+    p, m, f = field.p, field.m, list(field.modulus)
+    base = [a // p ** i % p for i in range(m)]
+    out = _poly_rem([1], f, p)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, base, f, p)
+        base = _poly_mulmod(base, base, f, p)
+        e >>= 1
+    return sum(c * p ** i for i, c in enumerate(out))
+
+
+def _has_factor(f, p):
+    """Whether the monic f has a monic factor of degree 1..deg(f)/2, by trial division."""
+    m = len(f) - 1
+    return any(
+        not any(_poly_rem(f, list(tail) + [1], p))
+        for d in range(1, m // 2 + 1)
+        for tail in product(range(p), repeat=d)
+    )
 
 
 class TestPrimality:
@@ -178,7 +224,7 @@ class TestFieldMake:
 
     def test_generator_equals_search_from_one(self):
         # the least generator by code, searched over every code from 1 with
-        # the polynomial power, for every field with q <= 2^10
+        # the schoolbook power, for every field with q <= 2^10
         fields = [(p, m) for p in range(2, 1025) if is_prime(p)
                   for m in range(1, 11) if p ** m <= 1 << 10]
         for p, m in fields:
@@ -187,9 +233,34 @@ class TestFieldMake:
             factors = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
             expected = next(
                 g for g in range(1, q)
-                if all(f._raw_pow(g, (q - 1) // r) != 1 for r in factors)
+                if all(_code_pow(f, g, (q - 1) // r) != 1 for r in factors)
             )
             assert f.generator() == expected, f
+
+    @pytest.mark.parametrize("p,m", [(2, m) for m in range(2, 9)] + [(3, 2), (3, 3), (3, 4), (3, 6),
+                                                                      (5, 2), (5, 3), (7, 3)])
+    def test_irreducible_equals_trial_division(self, p, m):
+        # every monic f of degree m; in every case but p = 2 with m = 2..5 and 7,
+        # some reducible f with f(0) != 0 divide x^(p^m) - x (factor degrees
+        # {2, 2} at (3, 4) and {1, 2, 3} at (3, 6), for example) and fail only
+        # the unit condition
+        for tail in product(range(p), repeat=m):
+            f = tail + (1,)
+            assert counting._is_irreducible(f, p) == (not _has_factor(list(f), p)), (p, f)
+
+    def test_large_extension_refused_before_modulus_search(self, monkeypatch):
+        calls = []
+
+        def spy(coeffs, p):
+            calls.append(coeffs)
+            raise AssertionError("the modulus search ran")
+
+        monkeypatch.setattr(counting, "_is_irreducible", spy)
+        # q = 2^23, 3^15 and 2053^2 all exceed the table limit 2^22
+        for p, m in [(2, 23), (3, 15), (2053, 2)]:
+            with pytest.raises(CapabilityError, match="table limit"):
+                field_make(p, m)
+        assert calls == []
 
 
 def _digit_matrix(field):
@@ -199,7 +270,7 @@ def _digit_matrix(field):
 
 
 def _poly_products(field, a_codes):
-    """Codes of a * b for a in a_codes and every b, by the polynomial arithmetic.
+    """Codes of a * b for a in a_codes and every b, by the schoolbook arithmetic.
 
     a * b = sum_ij a_i b_j (x^i x^j mod f); `_poly_mulmod` gives each basis
     product, and the sum runs vectorised over all pairs.
@@ -222,7 +293,7 @@ def _digit_sums(field, a_codes):
 
 
 class TestFieldTables:
-    """The exp/log/Zech arrays both counters read, against the polynomial arithmetic."""
+    """The exp/log/Zech arrays both counters read, against the schoolbook oracle."""
 
     @pytest.mark.parametrize("m", range(1, 11))
     def test_every_pair_up_to_2_pow_10(self, m):
@@ -241,12 +312,6 @@ class TestFieldTables:
                 la, lb = log[a][:, None], log[None, :]
                 assert (exp[counting._log_mul(la, lb, n)] == _poly_products(f, a)).all(), f
                 assert (counting._log_add(la, lb, zech, n) == log[_digit_sums(f, a)]).all(), f
-
-    def test_pow_table_matches_scalar_pow(self):
-        for p, m in [(2, 1), (7, 1), (2, 4), (3, 3)]:
-            f = field_make(p, m)
-            for e in (0, 1, 2, 5, f.q - 1, f.q):
-                assert f.pow_table(e).tolist() == [f.pow(x, e) for x in range(f.q)], (f, e)
 
     def test_prime_field_scalars_build_no_table(self):
         f = counting.FiniteField(1_000_000_007, 1, (0, 1))

@@ -1,6 +1,7 @@
 """Weight recipe, duality, witnesses, and the exhaustive scan."""
 
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -687,6 +688,19 @@ class TestSweepOracle:
             code += top - 1
         assert int(code[0]) == top ** top - 1 == _bulk.encode_one((top - 1,) * top, top)
         assert _bulk.code_dtype(top + 1) == np.int64
+
+    def test_sweep_order_gathered_in_place(self):
+        # member and weights are put into sweep order one row at a time, so the
+        # peak never holds a second (ord(W), classes) copy of member: at N = 8
+        # classical it is 8 MiB, and a gathered copy took the peak to 3 times that
+        tracemalloc.start()
+        try:
+            codes, weights, member = _bulk.class_weight_stats(8, (1,) * 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert member.shape == (8, 8 ** 6)
+        assert peak < 2 * member.nbytes + weights.nbytes, peak
 
 
 # every W at N <= 5, the classical weight at N = 6, 7, and the order-1 weight (7, 0, ..., 0)
