@@ -1,26 +1,36 @@
 """Vectorized enumeration kernels.
 
 Everything here works on tables of zero-sum residue vectors for a given
-modulus N, encoded as base-N integers so that numeric order equals
-lexicographic order on the vectors.  The public modules keep small per-class
-operations in plain Python; these kernels exist for the bulk jobs (class
-enumeration, repeated-weight scans) where a full table has N^(N-1) rows.
+modulus N.  The public modules keep small per-class operations in plain
+Python; these kernels exist for the bulk jobs (class enumeration,
+repeated-weight scans) where a full table has N^(N-1) rows.  A class is
+named by the code of its least member, a base-N integer, so that numeric
+order equals lexicographic order on the vectors.
 
 With g = gcd(N, w_1, ..., w_N) = N/ord(W), let j be the first coordinate
 with gcd(w_j, N) = g.  As k runs over Z/ord(W), v_j + k*w_j runs once
 through v_j + gZ/N, so every class has exactly one member with v_j < g, and
 the classes are enumerated directly from the transversal {v : v_j < g} of
 N^(N-1)/ord(W) rows: N^(N-2) when some weight is a unit, the full table
-when W = 0 mod N.  Tables are column-major, uint8 of shape (N, rows).
+when W = 0 mod N.  Tables are column-major, uint8 of shape (N, rows), and
+column c of the transversal is the vector whose free coordinates (all but
+one, which the zero-sum condition forces) are the digits of c.
 
-``class_sweep`` is the one cache: one ``ClassSweep`` per (N, W), which
-class enumeration and both semantics of the repeated-weight scan read, so
-no (N, W) is swept twice while it stays cached.  The sweep
-(``class_weight_stats``) takes ord(W) shifts: for k < ord(W) the members
-v + kW are pairwise distinct, and the N indexed members are those ord(W)
-repeated g times.  It checks the one row limit, ``_check_rows``, before it
-looks for j or builds a table: it admits every W at N <= 8 and N = 9 when
-g = 1, and refuses anything larger with a ValueError.
+The work splits in two.  With sigma a stable sort of positions by
+descending weight (``sort_order``), sigma(v + kW) = sigma(v) + k sigma(W):
+the classes of W and of sorted W have the same members up to the order of
+coordinates, hence the same weights.  ``class_sweep`` is the one cache.  It
+is keyed by sorted W (``sweep_for`` sorts), so every arrangement of W reads
+one ``ClassSweep``: each transversal column's sorted set weights and the
+flag masks of both semantics, and nothing that depends on the order of W's
+coordinates.  Canonical codes do depend on it; ``ClassSweep.canonical``
+maps the columns a caller returns back to W's own frame and codes only
+those (``canonicalise``).  The weight sweep (``class_weight_stats``) takes
+ord(W) shifts: for k < ord(W) the members v + kW are pairwise distinct, and
+the N indexed members are those ord(W) repeated g times.  It checks the one
+row limit, ``_check_rows``, before it looks for j or builds a table: it
+admits every W at N <= 8 and N = 9 when g = 1, and refuses anything larger
+with a ValueError.
 """
 
 from dataclasses import dataclass
@@ -31,8 +41,8 @@ import numpy as np
 
 # one check (_check_rows) counts the classes, N^(N-1)/ord(W), one row each: every W
 # at N <= 8 (at most 8^7 rows) and N = 9 with g = 1 (9^7) fit; N = 9 with g = 3
-# (3 * 9^7 rows; from the dtypes, its 3 shifts peak at about 40 bytes a row, about
-# 0.6 GB) and every W at N >= 10 do not
+# (3 * 9^7 rows; measured under tracemalloc, its weight sweep peaks at 26 bytes a row,
+# 373 MB, before any canonical code) and every W at N >= 10 do not
 MAX_TABLE_ROWS = 10_000_000
 
 
@@ -44,15 +54,29 @@ def _check_rows(modulus: int, rows: int) -> None:
         )
 
 
+def sort_order(weight: tuple[int, ...]) -> list[int]:
+    """sigma: the positions of W by descending weight, ties in position order,
+    so that sorted W is (w_sigma(0), ..., w_sigma(N-1))."""
+    return sorted(range(len(weight)), key=lambda i: -weight[i])
+
+
+def _layout(modulus: int, at: int, below: int) -> tuple[int, list[int], list[int]]:
+    """(dep, free, sizes) of the transversal {v : v_at < below}: the coordinate
+    the zero-sum condition forces, and the others with the range of each, most
+    significant digit first."""
+    n = modulus
+    dep = 0 if at == n - 1 else n - 1
+    free = [i for i in range(n) if i != dep]
+    return dep, free, [below if i == at else n for i in free]
+
+
 def _transversal_table(modulus: int, at: int, below: int) -> np.ndarray:
     """(N, rows) table of the zero-sum vectors with coordinate `at` below
     `below` (below * N^(N-2) columns when N >= 2), in lex order: every other
     coordinate but one sweeps 0..N-1, and that `dep` coordinate is forced by
     the zero-sum condition."""
     n = modulus
-    dep = 0 if at == n - 1 else n - 1
-    free = [i for i in range(n) if i != dep]
-    sizes = [below if i == at else n for i in free]
+    dep, free, sizes = _layout(n, at, below)
     rows = prod(sizes)
     table = np.zeros((n, rows), dtype=np.uint8)
     table[free] = np.indices(sizes, dtype=np.uint8).reshape(len(sizes), rows)
@@ -68,10 +92,11 @@ def code_dtype(modulus: int) -> type:
 def decode_many(codes: np.ndarray, modulus: int) -> list[tuple[int, ...]]:
     """The zero-sum vectors with these codes, as tuples of Python ints.
 
-    ``characters._trusted_vector`` builds ``ResidueVector``s from these rows
-    without ``ResidueVector.__post_init__``, so its three conditions hold
-    here: each row has N entries in 0..N-1 by construction (base-N digits),
-    and one pass over the array checks that every row sums to 0 mod N.
+    ``characters._trusted_vector`` and the repeated-weight scan build
+    ``ResidueVector``s from these rows without ``ResidueVector.__post_init__``,
+    so its three conditions hold here: each row has N entries in 0..N-1 by
+    construction (base-N digits), and one pass over the array checks that
+    every row sums to 0 mod N.
     """
     n = modulus
     rows = np.empty((len(codes), n), dtype=np.int64)
@@ -80,13 +105,6 @@ def decode_many(codes: np.ndarray, modulus: int) -> list[tuple[int, ...]]:
     if (rows.sum(axis=1) % n).any():
         raise RuntimeError(f"a decoded code is not a zero-sum vector mod {n}")
     return list(map(tuple, rows.tolist()))
-
-
-def encode_one(entries: tuple[int, ...], modulus: int) -> int:
-    code = 0
-    for e in entries:
-        code = code * modulus + e
-    return code
 
 
 def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
@@ -103,58 +121,72 @@ def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
         raise RuntimeError("class sweep code is not the least member of its class")
 
 
-def class_weight_stats(modulus: int, weight: tuple[int, ...]):
-    """One sweep over the ord(W) distinct coset members of every class of (N, W).
-
-    Returns (codes, weights, member): the sorted canonical (least member)
-    codes, one per class, and two (ord(W), n_classes) arrays.  Entry [k, c]
-    of ``member`` is the code of member v_c + kW of class c (``code_dtype(N)``,
-    as ``codes``); column c of ``weights`` (int8) holds the weights
-    lift/N - 1 of class c's totally nonzero members ascending, then N once
-    for each of its other members.  The row limit is checked first.  v_c is
-    class c's one member in the transversal {v : v_j < g} (see the module
-    docstring), which is its least member whenever w_j is W's first entry
-    nonzero mod N.  The table is stepped by W in place, member k's code is a
-    Horner pass over its N rows and its weight is read from the same rows,
-    and the columns are argsorted by their least member.  Each array is
-    gathered into that order in place, one row at a time, and
-    ``_check_canonical`` checks the result before it is returned.
-    """
-    n = modulus
-    g = gcd(n, *weight)
-    order = n // g
-    _check_rows(n, n ** (n - 1) // order)
-    j = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
-    vec = _transversal_table(n, j, g)
-
+def _shifted(vec: np.ndarray, weight: tuple[int, ...], shifts: int):
+    """Step ``vec`` in place through v + kW for k = 0..shifts-1, yielding it at each k."""
+    n = len(weight)
     step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
     below = np.empty_like(vec)
-    shape = (order, vec.shape[1])
-    weights = np.empty(shape, dtype=np.int8)
-    member = np.empty(shape, dtype=code_dtype(n))
-    for k in range(order):
+    for k in range(shifts):
         if k:
             vec += step
             # entries lie in 0..2N-2, and below N the uint8 vec - N wraps past them
             np.minimum(vec, np.subtract(vec, n, out=below), out=vec)
-        code = member[k]
-        code[...] = vec[0]
+        yield vec
+
+
+def class_weight_stats(modulus: int, weight: tuple[int, ...]) -> np.ndarray:
+    """One sweep over the ord(W) distinct coset members of every class of (N, W).
+
+    Returns an (ord(W), rows) int8 array with one column per column of the
+    transversal {v : v_j < g} (see the module docstring), one class each:
+    column c holds the weights lift/N - 1 of class c's totally nonzero
+    members ascending, then N once for each of its other members.  The row
+    limit is checked first.  The table is stepped by W in place and each
+    member's weight is read from its rows; no code is computed.
+    """
+    n = modulus
+    g = gcd(n, *weight)
+    shifts = n // g
+    _check_rows(n, n ** (n - 1) // shifts)
+    j = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
+    vec = _transversal_table(n, j, g)
+    weights = np.empty((shifts, vec.shape[1]), dtype=np.int8)
+    for row, members in zip(weights, _shifted(vec, weight, shifts)):
+        row[...] = np.where(members.all(axis=0), members.sum(axis=0, dtype=np.int16) // n - 1, n)
+    del vec
+    _sort_columns(weights)
+    return weights
+
+
+def canonicalise(modulus: int, weight: tuple[int, ...], vec: np.ndarray):
+    """Canonical codes of the classes of (N, W) that have a member in a column of ``vec``.
+
+    ``vec`` is an (N, m) uint8 table, one member of each of m distinct
+    classes, in W's own frame; it is stepped by W in place.  Returns
+    (codes, order, member): the least-member codes, increasing; ``order``,
+    the column of ``vec`` of each code's class; and ``member``, an
+    (ord(W), m) array whose column i holds the codes of class i's members
+    v + kW (``code_dtype(N)``, as ``codes``).  Member k's code is a Horner
+    pass over its N rows.  ``member`` is gathered into code order in place,
+    one row at a time, and ``_check_canonical`` checks the result before it
+    is returned.
+    """
+    n = modulus
+    shifts = n // gcd(n, *weight)
+    member = np.empty((shifts, vec.shape[1]), dtype=code_dtype(n))
+    for code, members in zip(member, _shifted(vec, weight, shifts)):
+        code[...] = members[0]
         for i in range(1, n):
             code *= n
-            code += vec[i]
-        weights[k] = np.where(vec.all(axis=0), vec.sum(axis=0, dtype=np.int16) // n - 1, n)
-    del vec, below
-
+            code += members[i]
     canon = member.min(axis=0)
     order = np.argsort(canon)
-    # one row at a time, in place, so that no second (ord(W), classes) array is made
-    for table in (weights, member):
-        for row in table:
-            row[...] = row.take(order)
+    # one row at a time, in place, so that no second (ord(W), m) array is made
+    for row in member:
+        row[...] = row.take(order)
     codes = canon.take(order)
     _check_canonical(codes, member)
-    _sort_columns(weights)
-    return codes, weights, member
+    return codes, order, member
 
 
 def _sort_columns(table: np.ndarray) -> None:
@@ -173,42 +205,96 @@ def _sort_columns(table: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ClassSweep:
-    """The cached sweep over the classes of (N, W), for both semantics.
+    """The cached sweep over the classes of (N, W) for sorted W, for both semantics.
 
-    ``codes`` are the sorted canonical codes, one per class, and column c of
-    ``weights`` holds class c's set weights as ``class_weight_stats`` sorts
-    them (int8, ord(W) rows); g = gcd(N, W).  ``flagged[indexed]`` are the
-    codes of the classes whose weight multiset has a repeat, under set
-    (False) or indexed (True) semantics.  The indexed multiset is the set one
-    repeated g times, so a class is indexed-flagged when it is set-flagged or
-    when g > 1 and it has a weight; a flagged class has a weight, so the two
-    multisets of every flagged class differ when g > 1 and agree when g = 1.
-    All arrays are read-only.
+    Column c of each array is the class of column c of the transversal
+    {v : v_at < g}, where g = gcd(N, W) and ``at`` is its j (see the module
+    docstring).  Column c of ``weights`` holds class c's set weights as
+    ``class_weight_stats`` sorts them (int8, ord(W) rows).
+    ``flagged[indexed]`` is a boolean mask over the columns: the classes
+    whose weight multiset has a repeat, under set (False) or indexed (True)
+    semantics.  The indexed multiset is the set one repeated g times, so a
+    class is indexed-flagged when it is set-flagged or when g > 1 and it has
+    a weight; a flagged class has a weight, so the two multisets of every
+    flagged class differ when g > 1 and agree when g = 1.  None of this
+    depends on the order of W's coordinates, so every arrangement of
+    ``weight`` reads it: ``is_flagged`` maps one class into this frame, and
+    ``canonical`` maps columns back out of it.  All arrays are read-only.
     """
 
     modulus: int
+    weight: tuple[int, ...]
     g: int
-    codes: np.ndarray
+    at: int
     weights: np.ndarray
     flagged: tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self):
-        for array in (self.codes, self.weights, *self.flagged):
+        for array in (self.weights, *self.flagged):
             array.flags.writeable = False
 
-    def report_fields(self, indexed: bool, stop: int | None = None):
-        """(codes, weights, dimension, repeated_value, multiplicity).
+    def _frame(self, weight: tuple[int, ...]) -> list[int]:
+        """sort_order(weight), after checking that it sorts W into this sweep's weight."""
+        sigma = sort_order(weight)
+        if tuple(weight[i] for i in sigma) != self.weight:
+            raise ValueError(f"{weight} is not an arrangement of the swept weight {self.weight}")
+        return sigma
 
-        One row or entry per class of ``flagged[indexed][:stop]``, in code
-        order: its code, its weights ascending, padded with N past its
-        dimension (ord(W) of them, or N under indexed semantics, each set
-        weight repeated g times), the least weight occurring twice and its
-        count.  ``_check_reports`` checks the last three before they are
-        returned.
+    def members(self, columns: np.ndarray | None = None) -> np.ndarray:
+        """The transversal members of these columns (all when None), in this
+        sweep's frame: an (N, m) uint8 table."""
+        n = self.modulus
+        if columns is None:
+            return _transversal_table(n, self.at, self.g)
+        dep, free, sizes = _layout(n, self.at, self.g)
+        table = np.zeros((n, len(columns)), dtype=np.uint8)
+        rest = columns
+        for i, size in reversed(list(zip(free, sizes))):
+            rest, table[i] = np.divmod(rest, size)
+        table[dep] = -table.sum(axis=0, dtype=np.int16) % n
+        return table
+
+    def is_flagged(self, indexed: bool, weight: tuple[int, ...], entries: tuple[int, ...]) -> bool:
+        """Whether the class of ``entries`` under ``weight``, an arrangement of
+        this sweep's W, is in ``flagged[indexed]``.
+
+        sigma(entries) is shifted by sorted W to the class's member u with
+        u_at < g, and u's column is read from its free coordinates: O(N)
+        Python, with no sort and no search.
+        """
+        n, at = self.modulus, self.at
+        v = [entries[i] for i in self._frame(weight)]
+        k = next(k for k in range(n) if (v[at] + k * self.weight[at]) % n < self.g)
+        column = 0
+        _, free, sizes = _layout(n, at, self.g)
+        for i, size in zip(free, sizes):
+            column = column * size + (v[i] + k * self.weight[i]) % n
+        return bool(self.flagged[indexed][column])
+
+    def canonical(self, weight: tuple[int, ...], columns: np.ndarray | None = None):
+        """(codes, columns): the canonical codes under ``weight``, an arrangement
+        of this sweep's W, of the classes of these columns (all when None),
+        increasing, and the column of each.
+
+        The columns' members are mapped back to W's own frame through the
+        inverse of sigma, and ``canonicalise`` codes only those.
+        """
+        inverse = np.argsort(self._frame(weight))
+        codes, order, _ = canonicalise(self.modulus, weight, self.members(columns)[inverse])
+        return codes, order if columns is None else columns.take(order)
+
+    def report_fields(self, columns: np.ndarray, indexed: bool):
+        """(weights, dimension, repeated_value, multiplicity) of the classes of
+        these columns, one row or entry each.
+
+        Each class's weights are ascending, padded with N past its dimension
+        (ord(W) of them, or N under indexed semantics, each set weight
+        repeated g times); its repeated value is the least weight occurring
+        twice, with its count.  ``_check_reports`` checks the last three
+        before they are returned.
         """
         n = self.modulus
-        codes = self.flagged[indexed][:stop]
-        weights = self.weights.take(np.searchsorted(self.codes, codes), axis=1)
+        weights = self.weights.take(columns, axis=1)
         if indexed and self.g > 1:
             weights = np.repeat(weights, self.g, axis=0)
         repeat = (weights[1:] == weights[:-1]) & (weights[1:] < n)
@@ -220,15 +306,7 @@ class ClassSweep:
         mults = 1 + (repeat & (weights[1:] == value)).sum(axis=0)
         weights = weights.T
         _check_reports(n, weights, value, mults)
-        return codes, weights, (weights < n).sum(axis=1), value, mults
-
-    def is_flagged(self, indexed: bool, entries: tuple[int, ...]) -> bool:
-        """Whether the class with canonical representative ``entries`` is in
-        ``flagged[indexed]``: one binary search for its code."""
-        codes = self.flagged[indexed]
-        code = encode_one(entries, self.modulus)
-        i = int(np.searchsorted(codes, code))
-        return i < len(codes) and int(codes[i]) == code
+        return weights, (weights < n).sum(axis=1), value, mults
 
 
 def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: np.ndarray) -> None:
@@ -253,11 +331,18 @@ def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: 
 
 @lru_cache(maxsize=8)
 def class_sweep(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
-    """The one sweep of (N, W), cached: class enumeration and both scan
-    semantics read it."""
+    """The one sweep of (N, W), cached, for W sorted by descending weight:
+    class enumeration, both scan semantics and every arrangement of W read it
+    (through ``sweep_for``)."""
     n = modulus
-    codes, weights = class_weight_stats(modulus, weight)[:2]
+    weights = class_weight_stats(modulus, weight)
     g = n // len(weights)
+    at = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
     repeat = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)
     indexed = repeat | (weights[0] < n) if g > 1 else repeat
-    return ClassSweep(n, g, codes, weights, (codes.compress(repeat), codes.compress(indexed)))
+    return ClassSweep(n, weight, g, at, weights, (repeat, indexed))
+
+
+def sweep_for(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
+    """The cached sweep that every arrangement of W reads: that of sorted W."""
+    return class_sweep(modulus, tuple(sorted(weight, reverse=True)))

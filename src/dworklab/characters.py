@@ -175,7 +175,8 @@ def _trusted_vector(modulus: int, entries: tuple[int, ...]) -> ResidueVector:
     Only for a tuple already known to hold N entries in 0..N-1 that sum to
     0 mod N: the rows of ``_bulk.decode_many``, which hold the first two by
     construction and checks the sum on its array.  ``enumerate_classes``
-    and the repeated-weight scan build their representatives with it.
+    builds its representatives with it (the repeated-weight scan fills the
+    same slots inline).
     """
     vector = object.__new__(ResidueVector)
     object.__setattr__(vector, "modulus", modulus)
@@ -187,9 +188,9 @@ def _trusted_class(weight: WeightVector, representative: ResidueVector) -> CharC
     """A class built without the check in ``CharClass.__post_init__``.
 
     Only for representatives already known to be canonical: ``class_of``
-    and ``construct_repeat_witness`` canonicalise their own, and the one
-    sweep behind ``enumerate_classes`` and the repeated-weight scan checks
-    its arrays (``_bulk.class_weight_stats`` runs ``_bulk._check_canonical``).
+    and ``construct_repeat_witness`` canonicalise their own, and the codes
+    behind ``enumerate_classes`` are checked on their arrays
+    (``_bulk.canonicalise`` runs ``_bulk._check_canonical``).
     """
     cls = object.__new__(CharClass)
     object.__setattr__(cls, "weight", weight)
@@ -235,15 +236,17 @@ def is_totally_nonzero(vector: ResidueVector) -> bool:
 def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple[CharClass, ...]:
     """Every class exactly once, sorted by canonical representative.
 
-    There are N^(N-1) / ord(W) of them, read from the cached sweep
-    (``_bulk.class_sweep``) that the repeated-weight scans read too.  Its
-    codes are canonical (``_bulk.class_weight_stats`` checks its arrays) and
-    decode to zero-sum vectors (``_bulk.decode_many`` checks its array), so
-    the classes and their representatives are built by ``_trusted_class``
-    and ``_trusted_vector``.
+    There are N^(N-1) / ord(W) of them, one per column of the cached sweep
+    of sorted W (``_bulk.sweep_for``) that the repeated-weight scans read
+    too; every column is mapped back to W's frame and canonicalised
+    (``_bulk.ClassSweep.canonical``).  The codes are canonical
+    (``_bulk.canonicalise`` checks its arrays) and decode to zero-sum
+    vectors (``_bulk.decode_many`` checks its array), so the classes and
+    their representatives are built by ``_trusted_class`` and
+    ``_trusted_vector``.
     """
     weight = _checked_weight(modulus, weight)
-    codes = _bulk.class_sweep(modulus, weight.entries).codes
+    codes = _bulk.sweep_for(modulus, weight.entries).canonical(weight.entries)[0]
     return tuple(
         _trusted_class(weight, _trusted_vector(modulus, rep))
         for rep in _bulk.decode_many(codes, modulus)

@@ -272,10 +272,10 @@ def cmd_witness(args) -> ReportDocument:
         payload["constructed"] = _witness_dict(constructed)
 
     try:
-        # the count and the agreement read the sweep's flagged codes; only the printed
+        # the count and the agreement read the sweep's flag mask; only the printed
         # reports are built
         _, sweep, indexed = _scan(args.N, weight, "indexed")
-        count = len(sweep.flagged[indexed])
+        count = int(sweep.flagged[indexed].sum())
         shown = _scan_reports(args.N, weight, "indexed", 50)
         payload["scan"] = {
             "checked": 1,
@@ -293,7 +293,7 @@ def cmd_witness(args) -> ReportDocument:
                 )
         else:
             rep = constructed.char_class.representative.entries
-            payload["agreement"] = int(sweep.is_flagged(indexed, rep))
+            payload["agreement"] = int(sweep.is_flagged(indexed, weight.entries, rep))
     except ValueError as exc:
         payload["scan"] = {"checked": 0, "reason": str(exc)}
         payload["agreement"] = None

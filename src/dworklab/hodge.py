@@ -22,7 +22,7 @@ witness constructions) run the recipe in plain Python; the witness
 constructions read the N shifts v + kW once for both semantics
 (``_witness_from_class``), and ``hodge_data`` is their oracle.  The
 exhaustive scan does not: it reads ``_bulk.class_sweep``, the one cached
-sweep per (N, W), which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
+sweep per S_N-orbit of W, which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
 ``repeated_class_representatives`` and ``scan_contains`` all reach it
 through one front door, ``_scan``, which checks (N, W, semantics) once.
 The sweep reads one transversal of N^(N-1)/ord(W) zero-sum vectors, one
@@ -34,23 +34,26 @@ of both semantics, and every report of a scan is set/indexed divergent when
 g > 1 and none is when g = 1.  Each report's other fields (sorted weights,
 least repeated value, multiplicity) come from the sweep's weight array.
 Its reports, classes and representatives skip their ``__post_init__``
-checks (``_trusted_report``, ``characters._trusted_class`` and
-``characters._trusted_vector``); each condition is checked once on the
-arrays instead.  ``_bulk.class_weight_stats`` checks that the codes are
-those of canonical (least) members, ``_bulk.decode_many`` that each
+checks (``_scan_reports`` fills their slots directly); each condition is
+checked once on the arrays instead.  ``_bulk.canonicalise`` checks that
+the codes are those of canonical (least) members, ``_bulk.decode_many`` that each
 decoded row sums to 0 mod N, and ``_bulk._check_reports`` that each value
 occurs in its weight row exactly its multiplicity >= 2 times.  The public
 constructors keep all their checks, and the per-class recipe is the scan's
 test oracle.  The CLI builds only the reports it prints (``_scan_reports``
-with a stop) and reads the count from the sweep.
+with a stop) and reads the count from the sweep's flag mask.
 
 Work that depends only on W's S_N-orbit or on a weight multiset is done
-once.  ``scan_contains`` maps the class into the frame of sorted W (a
-stable sort of positions by descending weight) and reads the sweep of
-sorted W, so every arrangement of one W shares one cached sweep; the other
-two read the sweep of W itself, whose canonical representatives are in W's
-own order.  ``repeated_ht_scan`` builds one ``HodgeData`` per distinct
-weight row and its reports share those frozen objects.
+once.  Every reader reads the sweep of sorted W (a stable sort sigma of
+positions by descending weight), so every arrangement of one W shares one
+cached sweep.  ``scan_contains`` maps the class into that frame and reads
+one column's flag.  ``repeated_ht_scan`` and
+``repeated_class_representatives`` map the flagged columns back to W's own
+frame through the inverse of sigma and canonicalise only those, since
+canonical representatives are in W's own order; ``enumerate_classes``
+canonicalises every column.  ``repeated_ht_scan`` builds one
+``HodgeData`` per distinct weight row and its reports share those frozen
+objects.
 """
 
 from dataclasses import dataclass
@@ -65,10 +68,8 @@ from .characters import (
     ResidueVector,
     WeightVector,
     _checked_weight,
-    _least_shift,
     _shifts,
     _trusted_class,
-    _trusted_vector,
     class_of,
     classical_weight,
     coset_elements,
@@ -135,23 +136,6 @@ class WitnessReport:
             raise ValueError("a witness needs multiplicity >= 2")
         if self.hodge.weights.count(self.repeated_value) != self.multiplicity:
             raise ValueError("stated multiplicity does not match the weight multiset")
-
-
-def _trusted_report(
-    char_class: CharClass, hodge: HodgeData, value: int, multiplicity: int, divergent: bool
-) -> WitnessReport:
-    """A report built without the checks in ``WitnessReport.__post_init__``.
-
-    Only for the reports of the repeated-weight scan: ``_bulk._check_reports``
-    checks the same two conditions once on the arrays they are read from.
-    """
-    report = object.__new__(WitnessReport)
-    object.__setattr__(report, "char_class", char_class)
-    object.__setattr__(report, "hodge", hodge)
-    object.__setattr__(report, "repeated_value", value)
-    object.__setattr__(report, "multiplicity", multiplicity)
-    object.__setattr__(report, "semantics_divergent", divergent)
-    return report
 
 
 class WitnessConstructionError(ValueError):
@@ -332,14 +316,14 @@ def _scan(
     modulus: int, weight: WeightVector | None, semantics: Semantics
 ) -> tuple[WeightVector, _bulk.ClassSweep, bool]:
     """The front door of the three scan functions below: (W, the cached
-    sweep, whether the semantics is indexed).
+    sweep of sorted W, whether the semantics is indexed).
 
     W defaults to the classical weight; its modulus and the semantics are
     checked here, and the row limit in ``_bulk``'s sweep.
     """
     weight = _checked_weight(modulus, weight)
     _check_semantics(semantics)
-    return weight, _bulk.class_sweep(modulus, weight.entries), semantics == "indexed"
+    return weight, _bulk.sweep_for(modulus, weight.entries), semantics == "indexed"
 
 
 def repeated_ht_scan(
@@ -348,8 +332,10 @@ def repeated_ht_scan(
     """Every class whose weight multiset has a repeat, by exhaustive scan.
 
     Ordered by canonical representative.  Independent of the witness
-    constructions above: it sweeps every class of (N, W) once, and each
-    report's fields come from the sweep's arrays
+    constructions above: it reads the flagged columns of the sweep of sorted
+    W, maps them back to W's frame and canonicalises only those
+    (``_bulk.ClassSweep.canonical``), and each report's other fields come
+    from the same columns of the sweep's weight array
     (``_bulk.ClassSweep.report_fields``), not from the per-class recipe.
     No report, class or representative runs its own ``__post_init__``:
     each condition it would check is checked once on the arrays, by
@@ -367,7 +353,9 @@ def _scan_reports(
     one report builder, for ``repeated_ht_scan`` and for the CLI, which
     prints the first 50."""
     weight, sweep, indexed = _scan(modulus, weight, semantics)
-    codes, weights, dims, values, mults = sweep.report_fields(indexed, stop)
+    codes, columns = sweep.canonical(weight.entries, np.flatnonzero(sweep.flagged[indexed]))
+    codes, columns = codes[:stop], columns[:stop]
+    weights, dims, values, mults = sweep.report_fields(columns, indexed)
     # one HodgeData per distinct weight row, shared by every report with that row; row
     # entries lie in 0..N, so a row's base-(N+1) value (below 2^63 for N <= 15, past the
     # row limit) identifies it, and a 1-d unique is far cheaper than np.unique(axis=0)
@@ -378,39 +366,53 @@ def _scan_reports(
         for row, dim in zip(weights[first].tolist(), dims[first].tolist())
     ]
     divergent = sweep.g > 1
-    fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
-    return tuple(
-        _trusted_report(
-            _trusted_class(weight, _trusted_vector(modulus, rep)), hodge[row], value, mult, divergent
-        )
-        for rep, row, value, mult in fields
+    # each object is built without its __post_init__ (checked on the arrays above), its
+    # frozen slots filled through their member descriptors
+    new = object.__new__
+    set_modulus, set_entries = (vars(ResidueVector)[f].__set__ for f in ResidueVector.__slots__)
+    set_weight, set_representative = (vars(CharClass)[f].__set__ for f in CharClass.__slots__)
+    set_class, set_hodge, set_value, set_mult, set_divergent = (
+        vars(WitnessReport)[f].__set__ for f in WitnessReport.__slots__
     )
+    reports = []
+    fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
+    for rep, row, value, mult in fields:
+        vector = new(ResidueVector)
+        set_modulus(vector, modulus)
+        set_entries(vector, rep)
+        cls = new(CharClass)
+        set_weight(cls, weight)
+        set_representative(cls, vector)
+        report = new(WitnessReport)
+        set_class(report, cls)
+        set_hodge(report, hodge[row])
+        set_value(report, value)
+        set_mult(report, mult)
+        set_divergent(report, divergent)
+        reports.append(report)
+    return tuple(reports)
 
 
 def repeated_class_representatives(
     modulus: int, weight: WeightVector | None = None, semantics: Semantics = "indexed"
 ) -> tuple[tuple[int, ...], ...]:
     """Canonical representatives of the classes a scan would report (cheap form)."""
-    _, sweep, indexed = _scan(modulus, weight, semantics)
-    return tuple(_bulk.decode_many(sweep.flagged[indexed], modulus))
+    weight, sweep, indexed = _scan(modulus, weight, semantics)
+    codes = sweep.canonical(weight.entries, np.flatnonzero(sweep.flagged[indexed]))[0]
+    return tuple(_bulk.decode_many(codes, modulus))
 
 
 def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:
     """Whether the exhaustive repeated-weight scan reports this class.
 
-    Membership reads the sweep of sorted W, so every W of one S_N-orbit
-    shares one cached sweep.  With sigma a stable sort of positions by
-    descending weight, sigma(v + kW) = sigma(v) + k sigma(W): the class of v
-    under W and the class of sigma(v) under sigma(W) have the same members up
-    to the order of coordinates, hence the same weight multiset in both
-    semantics.  sigma(v) is re-canonicalised under sigma(W) and its code is
-    found by binary search on that sweep's flagged canonical codes, which it
-    stores for both semantics; no reports are materialized.
+    Membership reads the sweep of sorted W, as the scans do.  With sigma a
+    stable sort of positions by descending weight, sigma(v + kW) =
+    sigma(v) + k sigma(W): the class of v under W and the class of sigma(v)
+    under sigma(W) have the same members up to the order of coordinates,
+    hence the same weight multiset in both semantics.  sigma(v) is shifted to
+    the member in the sweep's transversal and that column's flag is read
+    (``_bulk.ClassSweep.is_flagged``); nothing is sorted, searched or
+    canonicalised, and no reports are materialized.
     """
-    n, weights = cls.modulus, cls.weight.entries
-    sigma = sorted(range(n), key=lambda i: -weights[i])
-    sorted_weight = WeightVector(n, tuple(weights[i] for i in sigma))
-    entries = cls.representative.entries
-    canon = _least_shift(tuple(entries[i] for i in sigma), sorted_weight)
-    _, sweep, indexed = _scan(n, sorted_weight, semantics)
-    return sweep.is_flagged(indexed, canon)
+    weight, sweep, indexed = _scan(cls.modulus, cls.weight, semantics)
+    return sweep.is_flagged(indexed, weight.entries, cls.representative.entries)

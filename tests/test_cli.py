@@ -173,28 +173,29 @@ class TestWitness:
         assert " rows, over the limit of " in scan["reason"]
 
     def test_builds_only_printed_reports(self, capsys, monkeypatch):
-        # the count and the agreement come from the sweep's codes: N = 8 builds the
-        # constructed witness and the 50 printed scan reports, not all 125,475
-        from dworklab import hodge
+        # the count and the agreement come from the sweep's flag mask: N = 8 builds the
+        # constructed witness and the 50 printed scan reports, not all 125,475; each
+        # scan report's representative is one decoded row, and no other row is decoded
+        from dworklab import _bulk, hodge
 
-        built = []
-        checked_init, trusted = hodge.WitnessReport.__post_init__, hodge._trusted_report
+        checked, decoded = [], []
+        checked_init, decode_many = hodge.WitnessReport.__post_init__, _bulk.decode_many
 
         def counting_init(report):
-            built.append("checked")
+            checked.append(report)
             checked_init(report)
 
-        def counting_trusted(*fields):
-            built.append("trusted")
-            return trusted(*fields)
+        def counting_decode(codes, modulus):
+            decoded.append(len(codes))
+            return decode_many(codes, modulus)
 
         monkeypatch.setattr(hodge.WitnessReport, "__post_init__", counting_init)
-        monkeypatch.setattr(hodge, "_trusted_report", counting_trusted)
+        monkeypatch.setattr(_bulk, "decode_many", counting_decode)
         p = run_json(["witness", "--N", "8"], capsys)["payload"]
         assert p["scan"]["repeated_class_count"] == 125_475
         assert len(p["scan"]["repeated_classes"]) == 50
         assert p["agreement"] == 1
-        assert built.count("checked") == 1 and built.count("trusted") == 50
+        assert len(checked) == 1 and decoded == [50]
 
 
 class TestCount:

@@ -418,7 +418,8 @@ ROW_LIMIT_IDS = ["transversal", "order3", "full"]
 
 class TestRowLimit:
     """``_bulk.MAX_TABLE_ROWS`` is checked once, by ``class_weight_stats`` before it
-    builds a table, for class enumeration and all three scan functions alike."""
+    builds a table, for class enumeration and all three scan functions alike: all of
+    them read the sweep first."""
 
     @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=ROW_LIMIT_IDS)
     def test_refused_before_any_table_is_built(self, monkeypatch, weights, rows):
@@ -567,9 +568,9 @@ ORBIT_MAP_CASES = (
 
 
 class TestOrbitMap:
-    """``scan_contains`` answers from the scan of sorted W, through a stable sort of
-    positions by descending weight; the per-W scan behind
-    ``repeated_class_representatives`` is its oracle."""
+    """``scan_contains`` answers from the sweep of sorted W, through a stable sort of
+    positions by descending weight.  ``repeated_class_representatives`` reads the same
+    sweep, so each class is also checked against the per-class recipe."""
 
     @pytest.mark.parametrize("semantics", ["set", "indexed"])
     def test_membership_matches_per_weight_scan(self, semantics):
@@ -577,18 +578,24 @@ class TestOrbitMap:
             w = WeightVector(n, weights)
             reported = set(repeated_class_representatives(n, w, semantics))
             classes = enumerate_classes(n, w)
-            if len(classes) > 5_000:  # N = 7 (7^5 or 7^6 classes): a seeded sample
+            if len(classes) > 5_000:  # N = 6, 7 (past 5,000 classes): a seeded sample
                 classes = random.Random(20084).sample(classes, 5_000)
             for c in classes:
-                assert scan_contains(c, semantics) == (c.representative.entries in reported), (
-                    weights, semantics, c)
+                found = scan_contains(c, semantics)
+                assert found == (c.representative.entries in reported), (weights, semantics, c)
+                assert found == (_witness_from_class(c, semantics) is not None), (weights, semantics, c)
 
     def test_one_scan_per_orbit(self):
-        # every arrangement of (3, 3, 0, 0, 0, 0) reads the one sweep of the sorted weight
+        # every reader of every arrangement of (3, 3, 0, 0, 0, 0) reads the one sweep of
+        # the sorted weight
         _clear_bulk_caches()
         for weights in [(0, 3, 0, 0, 3, 0), (3, 0, 0, 0, 0, 3), (0, 0, 3, 3, 0, 0)]:
             w = WeightVector(6, weights)
             assert scan_contains(construct_repeat_witness(6, w).char_class)
+            assert len(enumerate_classes(6, w)) == 6 ** 5 // 2
+            for semantics in ("set", "indexed"):
+                assert repeated_ht_scan(6, w, semantics)
+                assert repeated_class_representatives(6, w, semantics)
         assert _bulk.class_sweep.cache_info().misses == 1
 
     def test_one_sweep_per_weight(self):
@@ -626,6 +633,20 @@ def _class_of_oracle(n, weights):
     return sorted(reps)
 
 
+def _transversal(n, weights):
+    """W's own transversal {v : v_j < g}, whose columns the weight sweep of W follows."""
+    g = gcd(n, *weights)
+    return _bulk._transversal_table(n, next(i for i, w in enumerate(weights) if gcd(w, n) == g), g)
+
+
+def _encode(entries, n):
+    """The base-N code of a vector, digit by digit."""
+    code = 0
+    for e in entries:
+        code = code * n + e
+    return code
+
+
 class TestSweepOracle:
     """The column-major sweep behind enumerate_classes against plain-Python class_of.
 
@@ -656,26 +677,30 @@ class TestSweepOracle:
          (6, (3, 3, 0, 0, 0, 0)), (6, (4, 2, 0, 0, 0, 0))],
     )
     def test_member_arrays(self, n, weights):
-        # column j, row k of member is v_j + kW for the canonical representative v_j, and
-        # the ord(W) rows are the class's distinct members: v_j + ord(W) W = v_j; column j
-        # of weights holds their weights sorted, lift/N - 1 when totally nonzero, else N
-        codes, ht, member = _bulk.class_weight_stats(n, weights)
+        # canonicalising W's own transversal: column i, row k of member is v_i + kW for
+        # the canonical representative v_i of class i, and the ord(W) rows are the
+        # class's distinct members, v_i + ord(W) W = v_i; the weight sweep's column
+        # sweep[i] (the transversal column of class i) holds their weights sorted,
+        # lift/N - 1 when totally nonzero, else N
+        codes, sweep, member = _bulk.canonicalise(n, weights, _transversal(n, weights))
+        ht = _bulk.class_weight_stats(n, weights)
         order = WeightVector(n, weights).order
         assert member.shape == ht.shape == (order, len(codes))
         assert ht.dtype == np.int8
         reps = [c.representative.entries for c in enumerate_classes(n, WeightVector(n, weights))]
         assert _bulk.decode_many(codes, n) == reps
-        for j, rep in enumerate(reps):
+        for i, rep in enumerate(reps):
             shifts = [tuple((e + k * w) % n for e, w in zip(rep, weights)) for k in range(order + 1)]
             assert shifts[order] == rep
-            assert len(set(member[:, j].tolist())) == order
-            assert member[:, j].tolist() == [_bulk.encode_one(u, n) for u in shifts[:order]]
-            assert ht[:, j].tolist() == sorted(sum(u) // n - 1 if all(u) else n for u in shifts[:order])
+            assert len(set(member[:, i].tolist())) == order
+            assert member[:, i].tolist() == [_encode(u, n) for u in shifts[:order]]
+            assert ht[:, sweep[i]].tolist() == sorted(
+                sum(u) // n - 1 if all(u) else n for u in shifts[:order])
 
     def test_member_codes_fit_their_dtype(self):
         # the largest code is that of (N-1, ..., N-1), a member of some class
         n = 8
-        codes, _, member = _bulk.class_weight_stats(n, (1,) * n)
+        codes, _, member = _bulk.canonicalise(n, (1,) * n, _transversal(n, (1,) * n))
         assert member.dtype == codes.dtype == _bulk.code_dtype(n) == np.int32
         assert int(member.max()) == n ** n - 1
         assert _bulk.decode_many(np.array([member.max()]), n) == [(n - 1,) * n]
@@ -686,21 +711,38 @@ class TestSweepOracle:
         for _ in range(top):  # the sweep's Horner pass on (N-1, ..., N-1)
             code *= top
             code += top - 1
-        assert int(code[0]) == top ** top - 1 == _bulk.encode_one((top - 1,) * top, top)
+        assert int(code[0]) == top ** top - 1 == _encode((top - 1,) * top, top)
         assert _bulk.code_dtype(top + 1) == np.int64
 
     def test_sweep_order_gathered_in_place(self):
-        # member and weights are put into sweep order one row at a time, so the
-        # peak never holds a second (ord(W), classes) copy of member: at N = 8
-        # classical it is 8 MiB, and a gathered copy took the peak to 3 times that
+        # member is put into code order one row at a time, so the peak never holds a
+        # second (ord(W), classes) copy of it: canonicalising every class at N = 8
+        # classical peaks at 14.7 MB, and a gathered copy took it to 23.1 MB
+        vec = _transversal(8, (1,) * 8)
         tracemalloc.start()
         try:
-            codes, weights, member = _bulk.class_weight_stats(8, (1,) * 8)
+            codes, _, member = _bulk.canonicalise(8, (1,) * 8, vec)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert member.shape == (8, 8 ** 6)
-        assert peak < 2 * member.nbytes + weights.nbytes, peak
+        assert peak < 2 * member.nbytes, peak
+
+    def test_weight_sweep_holds_no_codes(self):
+        # the cached sweep holds int8 weights and two masks and builds no codes and no
+        # member array: class_sweep(8, (1,) * 8) peaks at 7.6 MB, 29 bytes a class, under
+        # a bound of 32; building each class's codes and int32 member codes as well
+        # takes it to 16.8 MB
+        _clear_bulk_caches()
+        tracemalloc.start()
+        try:
+            sweep = _bulk.class_sweep(8, (1,) * 8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _clear_bulk_caches()
+        assert sweep.weights.shape == (8, 8 ** 6)
+        assert peak < 4 * sweep.weights.nbytes, peak
 
 
 # every W at N <= 5, the classical weight at N = 6, 7, and the order-1 weight (7, 0, ..., 0)
@@ -742,15 +784,19 @@ class TestTrustedConstruction:
 
 class TestSweepCheck:
     """The array check behind the trusted construction (``_bulk._check_canonical``);
-    every sweep runs it, so the tests above cover arrays it accepts."""
+    every canonicalisation runs it, so the tests above cover arrays it accepts."""
+
+    def _canonical_arrays(self):
+        codes, _, member = _bulk.canonicalise(5, (1,) * 5, _transversal(5, (1,) * 5))
+        return codes, member
 
     def test_duplicated_code_raises(self):
-        codes, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        codes, member = self._canonical_arrays()
         with pytest.raises(RuntimeError, match="strictly increasing"):
             _bulk._check_canonical(np.insert(codes, 7, codes[7]), np.insert(member, 7, member[:, 7], axis=1))
 
     def test_columns_out_of_order_raise(self):
-        codes, _, member = _bulk.class_weight_stats(5, (1,) * 5)
+        codes, member = self._canonical_arrays()
         swap = np.arange(len(codes))
         swap[[7, 8]] = [8, 7]
         with pytest.raises(RuntimeError, match="strictly increasing"):
@@ -760,7 +806,7 @@ class TestSweepCheck:
             _bulk._check_canonical(codes, member[:, swap])
 
     def test_decoded_row_off_zero_sum_raises(self):
-        codes = _bulk.class_weight_stats(5, (1,) * 5)[0]
+        codes = self._canonical_arrays()[0]
         assert len(_bulk.decode_many(codes, 5)) == len(codes)
         # code 1 is (0, 0, 0, 0, 1), whose digits sum to 1 mod 5
         with pytest.raises(RuntimeError, match="zero-sum"):
@@ -769,7 +815,7 @@ class TestSweepCheck:
     def _report_arrays(self):
         # the classical N = 6 scan: 395 reports of multiplicity 2 and 30 of multiplicity 3
         sweep = _bulk.class_sweep(6, (1,) * 6)
-        _, weights, _, values, mults = sweep.report_fields(True)
+        weights, _, values, mults = sweep.report_fields(np.flatnonzero(sweep.flagged[True]), True)
         assert set(mults.tolist()) == {2, 3}
         return weights, values.copy(), mults.copy()
 
