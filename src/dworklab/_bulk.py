@@ -30,9 +30,24 @@ ord(W) shifts: for k < ord(W) the members v + kW are pairwise distinct, and
 the N indexed members are those ord(W) repeated g times.  It checks the one
 row limit, ``_check_rows``, before it looks for j or builds a table: it
 admits every W at N <= 8 and N = 9 when g = 1, and refuses anything larger
-with a ValueError.
+with a ``RowLimitError``, a ValueError.
+
+The bulk builders turn these arrays into one Python object per class or
+report, and run under ``gc_paused``: ``enumerate_classes``,
+``repeated_ht_scan`` (``hodge._scan_reports``) and
+``repeated_class_representatives`` decode their codes and build their
+tuples there, and ``cli.main`` runs its command and writes its document
+there.  Otherwise every few hundred allocations start a pass of the cyclic
+garbage collector, and every so often a full pass over every tracked
+object, though what they build cannot be cyclic garbage: tuples, ints and
+frozen slotted dataclasses that hold only such objects, rows of dicts and
+lists, and JSON text.  Reference counting frees each of them on time, so
+the pause leaves nothing late for the collector but the few cycles a
+count's thread pool may make, which its first pass after the pause frees.
 """
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, prod
@@ -46,12 +61,31 @@ import numpy as np
 MAX_TABLE_ROWS = 10_000_000
 
 
+class RowLimitError(ValueError):
+    """A class table past ``MAX_TABLE_ROWS``, refused before it is built."""
+
+
 def _check_rows(modulus: int, rows: int) -> None:
     if rows > MAX_TABLE_ROWS:
-        raise ValueError(
+        raise RowLimitError(
             f"class enumeration for modulus {modulus} needs {rows} rows, "
             f"over the limit of {MAX_TABLE_ROWS}"
         )
+
+
+@contextmanager
+def gc_paused():
+    """Run the body with the cyclic garbage collector disabled, then restore
+    the caller's state: re-enabled if it was enabled, on an exception too;
+    left disabled if the caller had disabled it, so that pauses nest.  For
+    builders of many acyclic objects only (see the module docstring)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def sort_order(weight: tuple[int, ...]) -> list[int]:

@@ -243,14 +243,19 @@ def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple
     (``_bulk.canonicalise`` checks its arrays) and decode to zero-sum
     vectors (``_bulk.decode_many`` checks its array), so the classes and
     their representatives are built by ``_trusted_class`` and
-    ``_trusted_vector``.
+    ``_trusted_vector``, with the cyclic garbage collector paused
+    (``_bulk.gc_paused``): they are acyclic, so reference counting frees
+    them, and the 262,144 classes at N = 8 would otherwise start hundreds
+    of collections, some of them full passes over every object built so
+    far.
     """
     weight = _checked_weight(modulus, weight)
     codes = _bulk.sweep_for(modulus, weight.entries).canonical(weight.entries)[0]
-    return tuple(
-        _trusted_class(weight, _trusted_vector(modulus, rep))
-        for rep in _bulk.decode_many(codes, modulus)
-    )
+    with _bulk.gc_paused():
+        return tuple(
+            _trusted_class(weight, _trusted_vector(modulus, rep))
+            for rep in _bulk.decode_many(codes, modulus)
+        )
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:

@@ -15,7 +15,12 @@ with the same flags produce byte-identical JSON (timings are therefore
 reported on stderr, never in the document).
 
 Exit codes: 0 success, 2 usage, 3 domain (smoothness / characteristic /
-capability), 4 work budget exceeded.
+capability), 4 work budget or class-table row limit exceeded.
+
+A command and the writing of its document run with the cyclic garbage
+collector paused (``_bulk.gc_paused``): their row dicts, lists, classes and
+JSON text are acyclic, and building them with the collector on starts a
+collection every few hundred allocations.
 """
 
 import argparse
@@ -24,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
-from . import __version__
+from . import __version__, _bulk
 from .characters import (
     CharClass,
     ResidueVector,
@@ -539,23 +544,24 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        doc = args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SmoothnessError, CharacteristicError, CapabilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _bulk.gc_paused():
+        try:
+            doc = args.fn(args)
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (SmoothnessError, CharacteristicError, CapabilityError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except (BudgetError, _bulk.RowLimitError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
-    doc.argv = argv
-    _emit(doc, args)
+        doc.argv = argv
+        _emit(doc, args)
     return EXIT_OK
 
 

@@ -41,7 +41,13 @@ decoded row sums to 0 mod N, and ``_bulk._check_reports`` that each value
 occurs in its weight row exactly its multiplicity >= 2 times.  The public
 constructors keep all their checks, and the per-class recipe is the scan's
 test oracle.  The CLI builds only the reports it prints (``_scan_reports``
-with a stop) and reads the count from the sweep's flag mask.
+with a stop) and reads the count from the sweep's flag mask.  The loops
+that build one object per report or representative (``_scan_reports``
+after its array checks, and ``repeated_class_representatives``' decode) run
+with the cyclic garbage collector paused (``_bulk.gc_paused``): the
+objects are frozen, slotted and refer to no object that refers back, so
+reference counting frees them and a collector pass over them would find
+nothing.
 
 Work that depends only on W's S_N-orbit or on a weight multiset is done
 once.  Every reader reads the sweep of sorted W (a stable sort sigma of
@@ -341,7 +347,10 @@ def repeated_ht_scan(
     each condition it would check is checked once on the arrays, by
     ``_bulk._check_canonical`` (canonical codes), ``_bulk.decode_many``
     (zero-sum rows) and ``_bulk._check_reports`` (value and multiplicity).
-    Each distinct weight row gets one checked ``HodgeData``.
+    Each distinct weight row gets one checked ``HodgeData``.  The reports
+    are decoded and built with the cyclic garbage collector paused
+    (``_bulk.gc_paused``): 125,475 of them at N = 8 would otherwise start
+    hundreds of collections, and none of them is part of a cycle.
     """
     return _scan_reports(modulus, weight, semantics)
 
@@ -374,32 +383,36 @@ def _scan_reports(
     set_class, set_hodge, set_value, set_mult, set_divergent = (
         vars(WitnessReport)[f].__set__ for f in WitnessReport.__slots__
     )
-    reports = []
-    fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
-    for rep, row, value, mult in fields:
-        vector = new(ResidueVector)
-        set_modulus(vector, modulus)
-        set_entries(vector, rep)
-        cls = new(CharClass)
-        set_weight(cls, weight)
-        set_representative(cls, vector)
-        report = new(WitnessReport)
-        set_class(report, cls)
-        set_hodge(report, hodge[row])
-        set_value(report, value)
-        set_mult(report, mult)
-        set_divergent(report, divergent)
-        reports.append(report)
-    return tuple(reports)
+    # one object per report, none of them cyclic: built with the collector paused
+    with _bulk.gc_paused():
+        reports = []
+        fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
+        for rep, row, value, mult in fields:
+            vector = new(ResidueVector)
+            set_modulus(vector, modulus)
+            set_entries(vector, rep)
+            cls = new(CharClass)
+            set_weight(cls, weight)
+            set_representative(cls, vector)
+            report = new(WitnessReport)
+            set_class(report, cls)
+            set_hodge(report, hodge[row])
+            set_value(report, value)
+            set_mult(report, mult)
+            set_divergent(report, divergent)
+            reports.append(report)
+        return tuple(reports)
 
 
 def repeated_class_representatives(
     modulus: int, weight: WeightVector | None = None, semantics: Semantics = "indexed"
 ) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives of the classes a scan would report (cheap form)."""
+    """Canonical representatives of the classes a scan would report (cheap form),
+    decoded with the cyclic garbage collector paused (``_bulk.gc_paused``)."""
     weight, sweep, indexed = _scan(modulus, weight, semantics)
     codes = sweep.canonical(weight.entries, np.flatnonzero(sweep.flagged[indexed]))[0]
-    return tuple(_bulk.decode_many(codes, modulus))
+    with _bulk.gc_paused():
+        return tuple(_bulk.decode_many(codes, modulus))
 
 
 def scan_contains(cls: CharClass, semantics: Semantics = "indexed") -> bool:

@@ -57,11 +57,21 @@ class TestClasses:
         assert code == 2
         assert "sum" in err
 
-    def test_past_row_limit_exits_2(self, capsys):
-        # the transversal of N = 10 has 10^8 rows, over the 10 M row limit
-        code, out, err = run(["classes", "--N", "10"], capsys)
-        assert code == 2 and out == ""
-        assert "needs 100000000 rows, over the limit of 10000000" in err
+    def test_past_row_limit_exits_4(self, capsys):
+        # the transversal of N = 10 has 10^8 rows, over the 10 M row limit: refused
+        # before allocation, like a count over the work budget
+        for command in ("classes", "hodge"):
+            code, out, err = run([command, "--N", "10"], capsys)
+            assert code == 4 and out == ""
+            assert "needs 100000000 rows, over the limit of 10000000" in err
+
+    def test_built_with_collector_paused(self, capsys, collections_started):
+        # 16,807 classes, their rows and the JSON text: at most the one gen-0 pass
+        # that the first allocation after the pause starts (119 with the collector on)
+        run(["classes", "--N", "7"], capsys)
+        (code, out, _), started = collections_started(lambda: run(["classes", "--N", "7"], capsys))
+        assert code == 0 and json.loads(out)["payload"]["count"] == 7 ** 5
+        assert len(started) <= 1 and 2 not in started, started
 
     def test_orbits_need_classical(self, capsys):
         code, _, _ = run(["classes", "--N", "4", "--W", "2,2,0,0", "--orbits"], capsys)

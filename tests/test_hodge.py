@@ -1,5 +1,6 @@
 """Weight recipe, duality, witnesses, and the exhaustive scan."""
 
+import gc
 import random
 import tracemalloc
 from itertools import product
@@ -440,7 +441,7 @@ class TestRowLimit:
         ]
         message = f"class enumeration for modulus 6 needs {rows} rows, over the limit of {rows - 1}"
         for call in calls:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(_bulk.RowLimitError, match=message):
                 call()
 
     @pytest.mark.parametrize("weights,rows", ROW_LIMIT_PATHS, ids=ROW_LIMIT_IDS)
@@ -841,6 +842,72 @@ class TestSweepCheck:
         values[0] = 6
         with pytest.raises(RuntimeError, match="no repeated weight"):
             _bulk._check_reports(6, weights, values, mults)
+
+
+class TestGcPaused:
+    """``_bulk.gc_paused`` turns the cyclic collector off for its body and gives
+    the caller's state back on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def restore_collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    def test_reenabled_after_normal_exit(self):
+        gc.enable()
+        with _bulk.gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_reenabled_after_an_exception(self):
+        # a report array check that fails inside the pause
+        sweep = _bulk.class_sweep(6, (1,) * 6)
+        weights, _, values, mults = sweep.report_fields(np.flatnonzero(sweep.flagged[True]), True)
+        mults = mults.copy()
+        mults[0] = 1
+        gc.enable()
+        with pytest.raises(RuntimeError, match="below 2"):
+            with _bulk.gc_paused():
+                _bulk._check_reports(6, weights, values, mults)
+        assert gc.isenabled()
+
+    def test_caller_disabled_stays_disabled(self):
+        gc.disable()
+        with _bulk.gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+        with pytest.raises(RuntimeError):
+            with _bulk.gc_paused():
+                raise RuntimeError
+        assert not gc.isenabled()
+
+    def test_nests(self):
+        gc.enable()
+        with _bulk.gc_paused():
+            with _bulk.gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+
+class TestBuildersPauseTheCollector:
+    """The bulk builders build one object per class or report with the cyclic
+    collector paused.  With a warm sweep a call starts at most one collection,
+    the gen-0 pass that the first allocation after the pause starts, and no
+    gen-2 pass; with the collector on, ``repeated_ht_scan(7)`` starts 27 and
+    ``enumerate_classes(7)`` 94."""
+
+    @pytest.mark.parametrize("build,size", [
+        (lambda: repeated_ht_scan(7), 3920),
+        (lambda: enumerate_classes(7), 7 ** 5),
+        (lambda: repeated_class_representatives(7), 3920),
+    ], ids=["repeated_ht_scan", "enumerate_classes", "repeated_class_representatives"])
+    def test_at_most_one_collection(self, collections_started, build, size):
+        build()
+        result, started = collections_started(build)
+        assert len(result) == size
+        assert len(started) <= 1 and 2 not in started, started
 
 
 def _recipe_report(cls, semantics):
