@@ -25,7 +25,7 @@ one ``ClassSweep``: each transversal column's sorted set weights and the
 flag masks of both semantics, and nothing that depends on the order of W's
 coordinates.  Canonical codes do depend on it; ``ClassSweep.canonical``
 maps the columns a caller returns back to W's own frame and codes only
-those (``canonicalise``).  The weight sweep (``class_weight_stats``) takes
+those (``canonicalise``).  The weight sweep (``class_sweep``) takes
 ord(W) shifts: for k < ord(W) the members v + kW are pairwise distinct, and
 the N indexed members are those ord(W) repeated g times.  It checks the one
 row limit, ``_check_rows``, before it looks for j or builds a table: it
@@ -126,11 +126,11 @@ def code_dtype(modulus: int) -> type:
 def decode_many(codes: np.ndarray, modulus: int) -> list[tuple[int, ...]]:
     """The zero-sum vectors with these codes, as tuples of Python ints.
 
-    ``characters._trusted_vector`` and the repeated-weight scan build
-    ``ResidueVector``s from these rows without ``ResidueVector.__post_init__``,
-    so its three conditions hold here: each row has N entries in 0..N-1 by
-    construction (base-N digits), and one pass over the array checks that
-    every row sums to 0 mod N.
+    ``characters._trusted_classes`` builds ``ResidueVector``s from these
+    rows without ``ResidueVector.__post_init__``, for class enumeration and
+    the repeated-weight scan, so its three conditions hold here: each row
+    has N entries in 0..N-1 by construction (base-N digits), and one pass
+    over the array checks that every row sums to 0 mod N.
     """
     n = modulus
     rows = np.empty((len(codes), n), dtype=np.int64)
@@ -166,30 +166,6 @@ def _shifted(vec: np.ndarray, weight: tuple[int, ...], shifts: int):
             # entries lie in 0..2N-2, and below N the uint8 vec - N wraps past them
             np.minimum(vec, np.subtract(vec, n, out=below), out=vec)
         yield vec
-
-
-def class_weight_stats(modulus: int, weight: tuple[int, ...]) -> np.ndarray:
-    """One sweep over the ord(W) distinct coset members of every class of (N, W).
-
-    Returns an (ord(W), rows) int8 array with one column per column of the
-    transversal {v : v_j < g} (see the module docstring), one class each:
-    column c holds the weights lift/N - 1 of class c's totally nonzero
-    members ascending, then N once for each of its other members.  The row
-    limit is checked first.  The table is stepped by W in place and each
-    member's weight is read from its rows; no code is computed.
-    """
-    n = modulus
-    g = gcd(n, *weight)
-    shifts = n // g
-    _check_rows(n, n ** (n - 1) // shifts)
-    j = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
-    vec = _transversal_table(n, j, g)
-    weights = np.empty((shifts, vec.shape[1]), dtype=np.int8)
-    for row, members in zip(weights, _shifted(vec, weight, shifts)):
-        row[...] = np.where(members.all(axis=0), members.sum(axis=0, dtype=np.int16) // n - 1, n)
-    del vec
-    _sort_columns(weights)
-    return weights
 
 
 def canonicalise(modulus: int, weight: tuple[int, ...], vec: np.ndarray):
@@ -244,7 +220,7 @@ class ClassSweep:
     Column c of each array is the class of column c of the transversal
     {v : v_at < g}, where g = gcd(N, W) and ``at`` is its j (see the module
     docstring).  Column c of ``weights`` holds class c's set weights as
-    ``class_weight_stats`` sorts them (int8, ord(W) rows).
+    ``class_sweep`` sorts them (int8, ord(W) rows).
     ``flagged[indexed]`` is a boolean mask over the columns: the classes
     whose weight multiset has a repeat, under set (False) or indexed (True)
     semantics.  The indexed multiset is the set one repeated g times, so a
@@ -367,11 +343,27 @@ def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: 
 def class_sweep(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
     """The one sweep of (N, W), cached, for W sorted by descending weight:
     class enumeration, both scan semantics and every arrangement of W read it
-    (through ``sweep_for``)."""
+    (through ``sweep_for``).
+
+    One pass over the ord(W) distinct coset members of every class: its
+    ``weights`` (int8, ord(W) rows) has one column c per column of the
+    transversal {v : v_j < g} (see the module docstring), one class each,
+    holding the weights lift/N - 1 of class c's totally nonzero members
+    ascending, then N once for each of its other members.  The row limit is
+    checked first.  The table is stepped by W in place and each member's
+    weight is read from its rows; no code is computed.
+    """
     n = modulus
-    weights = class_weight_stats(modulus, weight)
-    g = n // len(weights)
+    g = gcd(n, *weight)
+    shifts = n // g
+    _check_rows(n, n ** (n - 1) // shifts)
     at = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
+    vec = _transversal_table(n, at, g)
+    weights = np.empty((shifts, vec.shape[1]), dtype=np.int8)
+    for row, members in zip(weights, _shifted(vec, weight, shifts)):
+        row[...] = np.where(members.all(axis=0), members.sum(axis=0, dtype=np.int16) // n - 1, n)
+    del vec
+    _sort_columns(weights)
     repeat = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)
     indexed = repeat | (weights[0] < n) if g > 1 else repeat
     return ClassSweep(n, weight, g, at, weights, (repeat, indexed))

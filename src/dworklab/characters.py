@@ -169,45 +169,46 @@ class CharClass:
         return f"[{', '.join(map(str, self.representative.entries))}] mod {self.weight!r}"
 
 
-def _trusted_vector(modulus: int, entries: tuple[int, ...]) -> ResidueVector:
-    """A vector built without the checks in ``ResidueVector.__post_init__``.
+def _trusted_classes(weight: WeightVector, rows) -> list[CharClass]:
+    """The classes of ``weight`` with these canonical representatives, one per
+    row, built without the checks in ``__post_init__``: the one place that
+    builds unchecked ``ResidueVector``s and ``CharClass``es.
 
-    Only for a tuple already known to hold N entries in 0..N-1 that sum to
-    0 mod N: the rows of ``_bulk.decode_many``, which hold the first two by
-    construction and checks the sum on its array.  ``enumerate_classes``
-    builds its representatives with it (the repeated-weight scan fills the
-    same slots inline).
+    Only for rows already known to be canonical representatives: tuples of N
+    entries in 0..N-1 that sum to 0 mod N and are the least of their shifts
+    v + kW.  ``class_of`` and ``construct_repeat_witness`` canonicalise their
+    own; ``enumerate_classes`` and the repeated-weight scan decode theirs
+    from codes checked on their arrays (``_bulk.canonicalise`` runs
+    ``_bulk._check_canonical``, and ``_bulk.decode_many`` checks the
+    zero-sum condition).  The frozen slots are filled through their member
+    descriptors.
     """
-    vector = object.__new__(ResidueVector)
-    object.__setattr__(vector, "modulus", modulus)
-    object.__setattr__(vector, "entries", entries)
-    return vector
-
-
-def _trusted_class(weight: WeightVector, representative: ResidueVector) -> CharClass:
-    """A class built without the check in ``CharClass.__post_init__``.
-
-    Only for representatives already known to be canonical: ``class_of``
-    and ``construct_repeat_witness`` canonicalise their own, and the codes
-    behind ``enumerate_classes`` are checked on their arrays
-    (``_bulk.canonicalise`` runs ``_bulk._check_canonical``).
-    """
-    cls = object.__new__(CharClass)
-    object.__setattr__(cls, "weight", weight)
-    object.__setattr__(cls, "representative", representative)
-    return cls
+    new = object.__new__
+    set_modulus, set_entries = (vars(ResidueVector)[f].__set__ for f in ResidueVector.__slots__)
+    set_weight, set_representative = (vars(CharClass)[f].__set__ for f in CharClass.__slots__)
+    modulus = weight.modulus
+    classes = []
+    for row in rows:
+        vector = new(ResidueVector)
+        set_modulus(vector, modulus)
+        set_entries(vector, row)
+        cls = new(CharClass)
+        set_weight(cls, weight)
+        set_representative(cls, vector)
+        classes.append(cls)
+    return classes
 
 
 def class_of(vector: ResidueVector | Sequence[int], weight: WeightVector) -> CharClass:
     """The class of an arbitrary zero-sum vector.
 
     The representative is canonicalised here, once, so the class is built by
-    ``_trusted_class`` without the check in ``CharClass.__post_init__``,
+    ``_trusted_classes`` without the check in ``CharClass.__post_init__``,
     which would repeat it.
     """
     if not isinstance(vector, ResidueVector):
         vector = ResidueVector(weight.modulus, tuple(vector))
-    return _trusted_class(weight, canonical_representative(vector, weight))
+    return _trusted_classes(weight, [canonical_representative(vector, weight).entries])[0]
 
 
 def coset_elements(cls: CharClass) -> tuple[ResidueVector, ...]:
@@ -242,20 +243,16 @@ def enumerate_classes(modulus: int, weight: WeightVector | None = None) -> tuple
     (``_bulk.ClassSweep.canonical``).  The codes are canonical
     (``_bulk.canonicalise`` checks its arrays) and decode to zero-sum
     vectors (``_bulk.decode_many`` checks its array), so the classes and
-    their representatives are built by ``_trusted_class`` and
-    ``_trusted_vector``, with the cyclic garbage collector paused
-    (``_bulk.gc_paused``): they are acyclic, so reference counting frees
-    them, and the 262,144 classes at N = 8 would otherwise start hundreds
-    of collections, some of them full passes over every object built so
-    far.
+    their representatives are built by ``_trusted_classes``, with the
+    cyclic garbage collector paused (``_bulk.gc_paused``): they are
+    acyclic, so reference counting frees them, and the 262,144 classes at
+    N = 8 would otherwise start hundreds of collections, some of them full
+    passes over every object built so far.
     """
     weight = _checked_weight(modulus, weight)
     codes = _bulk.sweep_for(modulus, weight.entries).canonical(weight.entries)[0]
     with _bulk.gc_paused():
-        return tuple(
-            _trusted_class(weight, _trusted_vector(modulus, rep))
-            for rep in _bulk.decode_many(codes, modulus)
-        )
+        return tuple(_trusted_classes(weight, _bulk.decode_many(codes, modulus)))
 
 
 def _check_permutation(perm: Sequence[int], n: int) -> tuple[int, ...]:
@@ -311,7 +308,7 @@ def orbit_normal_form(cls: CharClass) -> ResidueVector:
     complete orbit invariant.
     """
     _require_classical(cls, "orbit_normal_form")
-    members = [m.entries for m in coset_elements(cls)]
+    members = set(_shifts(cls.representative.entries, cls.weight))
     zmax = max(m.count(0) for m in members)
     best = min(tuple(sorted(m)) for m in members if m.count(0) == zmax)
     return ResidueVector(cls.modulus, best)
@@ -328,7 +325,7 @@ def zero_dominant_form(cls: CharClass) -> ResidueVector:
     orbits.
     """
     _require_classical(cls, "zero_dominant_form")
-    members = [m.entries for m in coset_elements(cls)]
+    members = set(_shifts(cls.representative.entries, cls.weight))
     zmax = max(m.count(0) for m in members)
     raw = min(m for m in members if m.count(0) == zmax)
     return ResidueVector(cls.modulus, tuple(sorted(raw)))

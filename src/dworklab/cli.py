@@ -14,7 +14,8 @@ contain exact integers only, orderings are deterministic, and repeated runs
 with the same flags produce byte-identical JSON (timings are therefore
 reported on stderr, never in the document).
 
-Exit codes: 0 success, 2 usage, 3 domain (smoothness / characteristic /
+Exit codes: 0 success, 2 usage (an --out path that cannot be written
+included, with nothing on stdout), 3 domain (smoothness / characteristic /
 capability), 4 work budget or class-table row limit exceeded.
 
 A command and the writing of its document run with the cyclic garbage
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__, _bulk
@@ -36,7 +38,6 @@ from .characters import (
     WeightVector,
     class_of,
     classical_weight,
-    coset_elements,
     enumerate_classes,
     orbit_normal_form,
     symmetric_orbits,
@@ -44,14 +45,13 @@ from .characters import (
 )
 from .hodge import (
     WitnessConstructionError,
+    _read_coset,
     _scan,
     _scan_reports,
     classical_repeat_class,
     construct_repeat_witness,
     dual_class,
-    hodge_data,
     total_dimension,
-    totally_nonzero_representatives,
 )
 from .counting import (
     BudgetError,
@@ -147,19 +147,23 @@ def _multiset(weights) -> str:
 # payload builders
 
 
-def _class_row(cls: CharClass) -> dict:
-    data = hodge_data(cls, "set")
-    return {
+def _class_row(cls: CharClass, indexed: bool = False, coset: bool = False) -> dict:
+    """A table row of one class from one pass over its coset (``hodge._read_coset``):
+    dimension, set weights and totally nonzero members, then the indexed weights
+    when ``indexed`` (hodge rows that list both semantics) and the distinct
+    members when ``coset`` (the one-class ``hodge --v`` document)."""
+    members, weights, indexed_weights = _read_coset(cls)
+    row = {
         "representative": _entries(cls.representative),
-        "dimension": data.dimension,
-        "weights": list(data.weights),
-        "totally_nonzero": [_entries(m) for m in totally_nonzero_representatives(cls)],
+        "dimension": len(weights),
+        "weights": list(weights),
+        "totally_nonzero": [list(m) for m in members if all(m)],
     }
-
-
-def _indexed_row(cls: CharClass) -> dict:
-    """``_class_row`` plus the indexed weights, for hodge rows that list both semantics."""
-    return {**_class_row(cls), "weights_indexed": list(hodge_data(cls, "indexed").weights)}
+    if indexed:
+        row["weights_indexed"] = list(indexed_weights)
+    if coset:
+        row["coset"] = [list(m) for m in members]
+    return row
 
 
 def _classical_table(classes, weight: WeightVector) -> dict:
@@ -211,7 +215,7 @@ def cmd_hodge(args) -> ReportDocument:
     warnings: list[str] = []
     if args.v is not None:
         cls = _class_from_v(args.N, weight, args.v)
-        payload = {**_indexed_row(cls), "coset": [_entries(m) for m in coset_elements(cls)]}
+        payload = _class_row(cls, indexed=True, coset=True)
     elif weight.classical:
         payload = {
             "rows": list(_classical_table(enumerate_classes(args.N, weight), weight).values()),
@@ -219,7 +223,7 @@ def cmd_hodge(args) -> ReportDocument:
         }
     else:
         payload = {
-            "rows": [_indexed_row(cls) for cls in enumerate_classes(args.N, weight)],
+            "rows": [_class_row(cls, indexed=True) for cls in enumerate_classes(args.N, weight)],
             "total_dimension": total_dimension(args.N, weight),
         }
         warnings.append(
@@ -401,10 +405,7 @@ def cmd_report(args) -> ReportDocument:
     for form, row in rows.items():
         row["dual"] = _entries(zero_dominant_form(dual_class(class_of(form, weight))))
 
-    census: dict[int, int] = {}
-    for cls in classes:
-        d = hodge_data(cls, "set").dimension
-        census[d] = census.get(d, 0) + 1
+    census = Counter(len(_read_coset(cls)[1]) for cls in classes)
 
     orbits = symmetric_orbits(n)
     payload = {
@@ -470,8 +471,11 @@ def _emit(doc: ReportDocument, args) -> None:
     else:
         text = _render_text(doc)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}")
         print(f"# wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
@@ -547,6 +551,8 @@ def main(argv: list[str] | None = None) -> int:
     with _bulk.gc_paused():
         try:
             doc = args.fn(args)
+            doc.argv = argv
+            _emit(doc, args)
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
@@ -559,9 +565,6 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-
-        doc.argv = argv
-        _emit(doc, args)
     return EXIT_OK
 
 

@@ -19,8 +19,8 @@ classical weight.
 
 The per-class functions (``hodge_data``, ``semantics_divergent``, the two
 witness constructions) run the recipe in plain Python; the witness
-constructions read the N shifts v + kW once for both semantics
-(``_witness_from_class``), and ``hodge_data`` is their oracle.  The
+constructions and the CLI's table rows read the N shifts v + kW once for
+both semantics (``_read_coset``), and ``hodge_data`` is their oracle.  The
 exhaustive scan does not: it reads ``_bulk.class_sweep``, the one cached
 sweep per S_N-orbit of W, which ``enumerate_classes`` reads too.  ``repeated_ht_scan``,
 ``repeated_class_representatives`` and ``scan_contains`` all reach it
@@ -34,8 +34,9 @@ of both semantics, and every report of a scan is set/indexed divergent when
 g > 1 and none is when g = 1.  Each report's other fields (sorted weights,
 least repeated value, multiplicity) come from the sweep's weight array.
 Its reports, classes and representatives skip their ``__post_init__``
-checks (``_scan_reports`` fills their slots directly); each condition is
-checked once on the arrays instead.  ``_bulk.canonicalise`` checks that
+checks (``_scan_reports`` fills the reports' slots directly and builds their
+classes with ``characters._trusted_classes``); each condition is checked
+once on the arrays instead.  ``_bulk.canonicalise`` checks that
 the codes are those of canonical (least) members, ``_bulk.decode_many`` that each
 decoded row sums to 0 mod N, and ``_bulk._check_reports`` that each value
 occurs in its weight row exactly its multiplicity >= 2 times.  The public
@@ -75,7 +76,7 @@ from .characters import (
     WeightVector,
     _checked_weight,
     _shifts,
-    _trusted_class,
+    _trusted_classes,
     class_of,
     classical_weight,
     coset_elements,
@@ -218,25 +219,40 @@ def _sorted_weights(members, modulus: int) -> tuple[int, ...]:
     return tuple(sorted(sum(u) // modulus - 1 for u in members if all(u)))
 
 
-def _witness_from_class(
-    cls: CharClass, semantics: Semantics, shifts: list[tuple[int, ...]] | None = None
-) -> WitnessReport | None:
-    """The report of one class, or None when its weights under ``semantics``
-    have no repeat: the per-class recipe in one pass.
+def _read_coset(
+    cls: CharClass, shifts: list[tuple[int, ...]] | None = None
+) -> tuple[list[tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
+    """(members, set weights, indexed weights) of one class: the per-class
+    recipe in one pass over its coset.
 
     ``shifts`` are v + kW for k = 0..N-1 for some member v of the class;
     when None they are taken from its representative.  Each is a zero-sum
     tuple of canonical lifts by construction, so no ``ResidueVector`` is
-    built for it.  The indexed weights are read from all N shifts and the
-    set weights from the distinct ones, and the report is divergent when the
-    two differ.  It equals the report built from ``hodge_data(cls, "set")``
-    and ``hodge_data(cls, "indexed")``, the public recipe and its oracle.
+    built for it.  ``members`` are the distinct shifts, sorted (the entries
+    of ``coset_elements``); the set weights are read from them and the
+    indexed weights from all N shifts.  They equal ``hodge_data(cls, "set")``
+    and ``hodge_data(cls, "indexed")``, the public recipe and its oracle, and
+    the totally nonzero members are ``totally_nonzero_representatives``.
+    The witness constructions and the CLI's table rows read classes here.
     """
-    n = cls.modulus
     if shifts is None:
         shifts = _shifts(cls.representative.entries, cls.weight)
-    indexed = _sorted_weights(shifts, n)
-    distinct = _sorted_weights(set(shifts), n)
+    members = sorted(set(shifts))
+    return members, _sorted_weights(members, cls.modulus), _sorted_weights(shifts, cls.modulus)
+
+
+def _witness_from_class(
+    cls: CharClass, semantics: Semantics, shifts: list[tuple[int, ...]] | None = None
+) -> WitnessReport | None:
+    """The report of one class, or None when its weights under ``semantics``
+    have no repeat, from one ``_read_coset`` pass (``shifts`` as there).
+
+    The report is divergent when the set and indexed weights differ.  It
+    equals the report built from ``hodge_data(cls, "set")`` and
+    ``hodge_data(cls, "indexed")``.
+    """
+    n = cls.modulus
+    _, distinct, indexed = _read_coset(cls, shifts)
     weights = indexed if semantics == "indexed" else distinct
     value = next((a for a, b in zip(weights, weights[1:]) if a == b), None)
     if value is None:
@@ -304,7 +320,7 @@ def construct_repeat_witness(modulus: int, weight: WeightVector) -> WitnessRepor
 
     # the class's canonical representative is the least of the shifts its recipe reads
     shifts = _shifts(tuple(entries), weight)
-    cls = _trusted_class(weight, ResidueVector(n, min(shifts)))
+    cls = _trusted_classes(weight, [min(shifts)])[0]
     if entries[pivot] == 0:
         raise WitnessConstructionError(
             f"the recipe for W = {weight.entries} forces pivot entry 0 at index {pivot}; "
@@ -375,25 +391,17 @@ def _scan_reports(
         for row, dim in zip(weights[first].tolist(), dims[first].tolist())
     ]
     divergent = sweep.g > 1
-    # each object is built without its __post_init__ (checked on the arrays above), its
-    # frozen slots filled through their member descriptors
+    # each report is built without its __post_init__ (checked on the arrays above), its
+    # frozen slots filled through their member descriptors; its class by _trusted_classes
     new = object.__new__
-    set_modulus, set_entries = (vars(ResidueVector)[f].__set__ for f in ResidueVector.__slots__)
-    set_weight, set_representative = (vars(CharClass)[f].__set__ for f in CharClass.__slots__)
     set_class, set_hodge, set_value, set_mult, set_divergent = (
         vars(WitnessReport)[f].__set__ for f in WitnessReport.__slots__
     )
     # one object per report, none of them cyclic: built with the collector paused
     with _bulk.gc_paused():
         reports = []
-        fields = zip(_bulk.decode_many(codes, modulus), row_of.tolist(), values.tolist(), mults.tolist())
-        for rep, row, value, mult in fields:
-            vector = new(ResidueVector)
-            set_modulus(vector, modulus)
-            set_entries(vector, rep)
-            cls = new(CharClass)
-            set_weight(cls, weight)
-            set_representative(cls, vector)
+        classes = _trusted_classes(weight, _bulk.decode_many(codes, modulus))
+        for cls, row, value, mult in zip(classes, row_of.tolist(), values.tolist(), mults.tolist()):
             report = new(WitnessReport)
             set_class(report, cls)
             set_hodge(report, hodge[row])

@@ -3,12 +3,23 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 
 import pytest
 
+from dworklab.characters import (
+    WeightVector,
+    class_of,
+    classical_weight,
+    coset_elements,
+    enumerate_classes,
+)
 from dworklab.cli import main
+from dworklab.hodge import hodge_data, totally_nonzero_representatives
 
 try:
     import jsonschema
@@ -110,6 +121,96 @@ class TestHodge:
         rows = doc["payload"]["rows"]
         assert len(rows) == 32
         assert all("weights_indexed" in r for r in rows)
+
+
+def _weights(n):
+    """Every weight vector at N = n: n non-negative entries summing to n."""
+    return [w for w in product(range(n + 1), repeat=n) if sum(w) == n]
+
+
+def _sample_weights(n, k, seed):
+    """k seeded non-classical weight vectors at N = n, by stars and bars."""
+    rng = random.Random(seed)
+    sample = set()
+    while len(sample) < k:
+        bars = sorted(rng.sample(range(2 * n - 1), n - 1))
+        weights = tuple(b - a - 1 for a, b in zip([-1] + bars, bars + [2 * n - 1]))
+        if weights != (1,) * n:
+            sample.add(weights)
+    return sorted(sample)
+
+
+def _check_row(row, cls, indexed):
+    """A table row against the per-class oracle: ``hodge_data`` under both
+    semantics and ``totally_nonzero_representatives``."""
+    data = hodge_data(cls, "set")
+    assert row["representative"] == list(cls.representative.entries)
+    assert row["dimension"] == data.dimension
+    assert row["weights"] == list(data.weights)
+    assert row["totally_nonzero"] == [list(m.entries) for m in totally_nonzero_representatives(cls)]
+    if indexed:
+        assert row["weights_indexed"] == list(hodge_data(cls, "indexed").weights)
+    else:
+        assert "weights_indexed" not in row
+
+
+def _check_hodge_table(n, weights, capsys, sample=None):
+    """Every row of ``hodge --N n --W weights`` (a seeded ``sample`` of them when
+    given) against the oracle; non-classical rows run over the classes in order."""
+    w = WeightVector(n, weights)
+    rows = run_json(["hodge", "--N", str(n), "--W", ",".join(map(str, weights))], capsys)["payload"]["rows"]
+    if w.classical:
+        for row in rows:
+            _check_row(row, class_of(row["representative"], w), indexed=False)
+        return
+    classes = enumerate_classes(n, w)
+    assert [r["representative"] for r in rows] == [list(c.representative.entries) for c in classes]
+    picks = range(len(rows)) if sample is None else random.Random(sample).sample(range(len(rows)), 300)
+    for i in picks:
+        _check_row(rows[i], classes[i], indexed=True)
+
+
+class TestRowsMatchOracle:
+    """The hodge and report rows are built from one pass over each coset
+    (``hodge._read_coset``); the per-class recipe ``hodge_data`` and
+    ``totally_nonzero_representatives`` are their oracle.  Weights with
+    gcd(N, W) > 1, such as (2,2,0,0) and (3,3,0,0,0,0), have indexed weights
+    that differ from the set ones."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_weight(self, n, capsys):
+        for weights in _weights(n):
+            _check_hodge_table(n, weights, capsys)
+
+    @pytest.mark.parametrize("weights", [(1,) * 6, (3, 3, 0, 0, 0, 0)] + _sample_weights(6, 4, 2403),
+                             ids=lambda w: ",".join(map(str, w)))
+    def test_n6_sample(self, weights, capsys):
+        _check_hodge_table(6, weights, capsys)
+
+    @pytest.mark.parametrize("weights", [(1,) * 7] + _sample_weights(7, 2, 2404),
+                             ids=lambda w: ",".join(map(str, w)))
+    def test_n7_sample(self, weights, capsys):
+        _check_hodge_table(7, weights, capsys, sample=2405)
+
+    def test_single_class_rows(self, capsys):
+        # hodge --v: the row of one class, with both weight semantics and its coset
+        rng = random.Random(2406)
+        for weights in [(1,) * 6, (3, 3, 0, 0, 0, 0), (2, 2, 2, 0, 0, 0)]:
+            w = WeightVector(6, weights)
+            for cls in rng.sample(enumerate_classes(6, w), 20):
+                v = ",".join(map(str, cls.representative.entries))
+                p = run_json(["hodge", "--N", "6", "--W", ",".join(map(str, weights)), "--v", v],
+                             capsys)["payload"]
+                assert p.pop("coset") == [list(m.entries) for m in coset_elements(cls)]
+                _check_row(p, cls, indexed=True)
+
+    def test_report(self, capsys):
+        p = run_json(["report"], capsys)["payload"]
+        w = classical_weight(5)
+        for row in p["class_table"]:
+            _check_row(row, class_of(row["representative"], w), indexed=False)
+        census = Counter(hodge_data(c, "set").dimension for c in enumerate_classes(5, w))
+        assert p["dimension_census"] == {str(d): census[d] for d in sorted(census)}
 
 
 class TestWitness:
@@ -413,6 +514,32 @@ class TestInterface:
         assert out == ""
         doc = json.loads(target.read_text())
         assert doc["payload"]["total_dimension"] == 204
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--N", "5", "--p", "11", "--t", "2"],
+        ["hodge", "--N", "6", "--W", "3,3,0,0,0,0"],
+        ["report", "--format", "text"],
+    ], ids=" ".join)
+    def test_out_file_holds_stdout_bytes(self, argv, tmp_path, capsys):
+        # the document names its argv, so a JSON file differs from stdout in "argv" only
+        target = tmp_path / "doc"
+        _, expected, _ = run(argv, capsys)
+        out_argv = argv + ["--out", str(target)]
+        code, out, err = run(out_argv, capsys)
+        assert code == 0 and out == "" and err.endswith(f"# wrote {target}\n"), err
+        if "text" not in argv:
+            doc = json.loads(expected)
+            doc["argv"] = out_argv
+            expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert target.read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("where", ["missing_dir", "directory"])
+    def test_out_unwritable_exits_2(self, where, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json" if where == "missing_dir" else tmp_path
+        code, out, err = run(["count", "--N", "5", "--p", "11", "--t", "2", "--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1].startswith(f"error: cannot write --out {target}: "), err
+        assert "Traceback" not in err
 
     def test_missing_subcommand_exits_2(self, capsys):
         assert run([], capsys)[0] == 2

@@ -14,6 +14,7 @@ from dworklab.characters import (
     CharClass,
     ResidueVector,
     WeightVector,
+    canonical_representative,
     class_of,
     classical_weight,
     coset_elements,
@@ -418,7 +419,7 @@ ROW_LIMIT_IDS = ["transversal", "order3", "full"]
 
 
 class TestRowLimit:
-    """``_bulk.MAX_TABLE_ROWS`` is checked once, by ``class_weight_stats`` before it
+    """``_bulk.MAX_TABLE_ROWS`` is checked once, by ``class_sweep`` before it
     builds a table, for class enumeration and all three scan functions alike: all of
     them read the sweep first."""
 
@@ -478,7 +479,7 @@ class TestRowLimit:
         monkeypatch.setattr(_bulk, "_transversal_table", sentinel)
         for weights in [(1,) * 9, (3, 3, 2) + (0,) * 5 + (1,)]:
             with pytest.raises(Built):
-                _bulk.class_weight_stats(9, weights)
+                _bulk.class_sweep(9, weights)
 
 
 def _compositions(n, length=None):
@@ -684,7 +685,7 @@ class TestSweepOracle:
         # sweep[i] (the transversal column of class i) holds their weights sorted,
         # lift/N - 1 when totally nonzero, else N
         codes, sweep, member = _bulk.canonicalise(n, weights, _transversal(n, weights))
-        ht = _bulk.class_weight_stats(n, weights)
+        ht = _bulk.class_sweep(n, weights).weights
         order = WeightVector(n, weights).order
         assert member.shape == ht.shape == (order, len(codes))
         assert ht.dtype == np.int8
@@ -755,9 +756,41 @@ TRUSTED_CASES = [(n, w) for n in range(1, 6) for w in _compositions(n)] + [
 
 
 class TestTrustedConstruction:
-    """Classes, representatives and reports built from the sweep skip their own
-    ``__post_init__`` checks; building the same objects with those checks must
-    give equal objects."""
+    """Classes, representatives and reports built from the sweep, by ``class_of``
+    and by the witness constructions skip their own ``__post_init__`` checks
+    (``characters._trusted_classes``); building the same objects with those
+    checks must give equal objects."""
+
+    def test_class_of(self):
+        # three seeded zero-sum vectors for every W at N <= 6, as vectors and as tuples
+        rng = random.Random(2402)
+        for n in range(1, 7):
+            for weights in _compositions(n):
+                w = WeightVector(n, weights)
+                for k in range(3):
+                    head = [rng.randrange(n) for _ in range(n - 1)]
+                    v = ResidueVector(n, tuple(head + [-sum(head) % n]))
+                    c = class_of(v if k % 2 else v.entries, w)
+                    assert c.representative == ResidueVector(n, c.representative.entries), (weights, v)
+                    assert c == CharClass(w, canonical_representative(v, w)), (weights, v)
+
+    def test_constructed_witnesses(self):
+        built = 0
+        for n in range(3, 7):
+            for weights in _compositions(n):
+                w = WeightVector(n, weights)
+                if w.classical:
+                    continue
+                try:
+                    c = construct_repeat_witness(n, w).char_class
+                except WitnessConstructionError:
+                    continue
+                assert c == CharClass(w, ResidueVector(n, c.representative.entries)), weights
+                built += 1
+        assert built == 629 - 26
+        for n in (6, 8, 9, 10):
+            c = classical_repeat_class(n).char_class
+            assert c == CharClass(classical_weight(n), ResidueVector(n, c.representative.entries)), n
 
     def test_enumerated_classes(self):
         for n, weights in TRUSTED_CASES:
