@@ -25,12 +25,15 @@ one ``ClassSweep``: each transversal column's sorted set weights and the
 flag masks of both semantics, and nothing that depends on the order of W's
 coordinates.  Canonical codes do depend on it; ``ClassSweep.canonical``
 maps the columns a caller returns back to W's own frame and codes only
-those (``canonicalise``).  The weight sweep (``class_sweep``) takes
-ord(W) shifts: for k < ord(W) the members v + kW are pairwise distinct, and
-the N indexed members are those ord(W) repeated g times.  It checks the one
-row limit, ``_check_rows``, before it looks for j or builds a table: it
-admits every W at N <= 8 and N = 9 when g = 1, and refuses anything larger
-with a ``RowLimitError``, a ValueError.
+those (``canonicalise``).  The weight sweep (``class_sweep``) reads ord(W)
+members of each class: for k < ord(W) the members v + kW are pairwise
+distinct, and the N indexed members are those ord(W) repeated g times.  It
+builds no table of members: a member's weight depends only on the sum of
+its free coordinates' lifts, an outer sum over the transversal's digit grid
+(``_sweep_weights``).  It checks the one row limit, ``_check_rows``, before
+it looks for j or allocates anything: it admits every W at N <= 8 and N = 9
+when g = 1, and refuses anything larger with a ``RowLimitError``, a
+ValueError.
 
 The bulk builders turn these arrays into one Python object per class or
 report, and run under ``gc_paused``: ``enumerate_classes``,
@@ -56,8 +59,8 @@ import numpy as np
 
 # one check (_check_rows) counts the classes, N^(N-1)/ord(W), one row each: every W
 # at N <= 8 (at most 8^7 rows) and N = 9 with g = 1 (9^7) fit; N = 9 with g = 3
-# (3 * 9^7 rows; measured under tracemalloc, its weight sweep peaks at 26 bytes a row,
-# 373 MB, before any canonical code) and every W at N >= 10 do not
+# (3 * 9^7 rows; measured under tracemalloc, its weight sweep peaks at 6 bytes a row,
+# 86 MB, before any canonical code) and every W at N >= 10 do not
 MAX_TABLE_ROWS = 10_000_000
 
 
@@ -156,7 +159,8 @@ def _check_canonical(codes: np.ndarray, member: np.ndarray) -> None:
 
 
 def _shifted(vec: np.ndarray, weight: tuple[int, ...], shifts: int):
-    """Step ``vec`` in place through v + kW for k = 0..shifts-1, yielding it at each k."""
+    """Step ``vec`` in place through v + kW for k = 0..shifts-1, yielding it at
+    each k; ``canonicalise`` codes the members this way."""
     n = len(weight)
     step = np.array([w % n for w in weight], dtype=np.uint8)[:, None]
     below = np.empty_like(vec)
@@ -339,6 +343,73 @@ def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: 
         raise RuntimeError("a stated multiplicity does not match its weight row")
 
 
+# the weight sweep gathers at most this many columns at a time: the take that does it
+# casts the block's int16 lift sums to intp, 8 bytes a column
+_BLOCK = 1 << 16
+
+
+def _free_lifts(
+    modulus: int, weight: tuple[int, ...], at: int, g: int, big: int
+) -> list[np.ndarray]:
+    """For each free coordinate i of the transversal {v : v_at < g}, most
+    significant first (``_layout``), the (ord(W), size_i) int16 table whose
+    row k, column x holds the lift of (x + k w_i) mod N, or ``big`` for 0."""
+    n = modulus
+    _, free, sizes = _layout(n, at, g)
+    k = np.arange(n // g)[:, None]
+    tables = []
+    for i, size in zip(free, sizes):
+        lift = (np.arange(size) + k * weight[i]) % n
+        tables.append(np.where(lift == 0, big, lift).astype(np.int16))
+    return tables
+
+
+def _outer_sum(tables: list[np.ndarray], shifts: int) -> np.ndarray:
+    """The (shifts, prod sizes) sums over the digit grid of these (shifts, size)
+    tables, most significant first: row k, column c holds the sum of every
+    table's row k at c's digit.  Built least significant digit first, so that
+    the long axis stays innermost."""
+    total = np.zeros((shifts, 1), dtype=np.int16)
+    for table in reversed(tables):
+        total = (table[:, :, None] + total[:, None, :]).reshape(shifts, -1)
+    return total
+
+
+def _sweep_weights(modulus: int, weight: tuple[int, ...], at: int, g: int) -> np.ndarray:
+    """The (ord(W), rows) int8 weights of the members v + kW of the columns of
+    the transversal {v : v_at < g}, unsorted: lift/N - 1 when totally
+    nonzero, else N.
+
+    Column c's free coordinates are its digits, so S, the sum of a member's
+    free lifts, is an outer sum of one small table per coordinate
+    (``_free_lifts``).  A lift of 0 counts as BIG > (N-1)^2, more than the
+    N-1 free lifts can sum to when none is 0.  Since W sums to N, the forced
+    coordinate's lift is (-S) mod N, so the weight is S // N when S < BIG and
+    N does not divide S, and N otherwise: one int8 lookup table indexed by S.
+    The columns split into blocks of at most ``_BLOCK``: the sums of the
+    inner digits are built once, and each block of a shift reads them through
+    the lookup table offset by the sum of its outer digits.
+    """
+    n = modulus
+    shifts = n // g
+    big = (n - 1) ** 2 + 1
+    lifts = _free_lifts(n, weight, at, g, big)
+    s = np.arange(len(lifts) * big + 1)
+    lookup = np.where((s < big) & (s % n != 0), s // n, n).astype(np.int8)
+    sizes = [table.shape[1] for table in lifts]
+    split = len(sizes)
+    while split and prod(sizes[split - 1 :]) <= _BLOCK:
+        split -= 1
+    inner = _outer_sum(lifts[split:], shifts)
+    outer = _outer_sum(lifts[:split], shifts).tolist()
+    block = inner.shape[1]
+    weights = np.empty((shifts, prod(sizes)), dtype=np.int8)
+    for row, sums, bases in zip(weights, inner, outer):
+        for b, base in enumerate(bases):
+            lookup[base:].take(sums, out=row[b * block : (b + 1) * block])
+    return weights
+
+
 @lru_cache(maxsize=8)
 def class_sweep(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
     """The one sweep of (N, W), cached, for W sorted by descending weight:
@@ -350,21 +421,20 @@ def class_sweep(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
     transversal {v : v_j < g} (see the module docstring), one class each,
     holding the weights lift/N - 1 of class c's totally nonzero members
     ascending, then N once for each of its other members.  The row limit is
-    checked first.  The table is stepped by W in place and each member's
-    weight is read from its rows; no code is computed.
+    checked first.  The weights come from outer sums over the transversal's
+    digit grid (``_sweep_weights``), so no table of members is built and no
+    code is computed.  A repeat is a pair of equal adjacent weights below N
+    in a sorted column, OR-ed into one mask a row pair at a time.
     """
     n = modulus
     g = gcd(n, *weight)
-    shifts = n // g
-    _check_rows(n, n ** (n - 1) // shifts)
+    _check_rows(n, n ** (n - 1) // (n // g))
     at = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
-    vec = _transversal_table(n, at, g)
-    weights = np.empty((shifts, vec.shape[1]), dtype=np.int8)
-    for row, members in zip(weights, _shifted(vec, weight, shifts)):
-        row[...] = np.where(members.all(axis=0), members.sum(axis=0, dtype=np.int16) // n - 1, n)
-    del vec
+    weights = _sweep_weights(n, weight, at, g)
     _sort_columns(weights)
-    repeat = ((weights[1:] == weights[:-1]) & (weights[1:] < n)).any(axis=0)
+    repeat = np.zeros(weights.shape[1], dtype=bool)
+    for lower, upper in zip(weights[:-1], weights[1:]):
+        repeat |= (lower == upper) & (upper < n)
     indexed = repeat | (weights[0] < n) if g > 1 else repeat
     return ClassSweep(n, weight, g, at, weights, (repeat, indexed))
 

@@ -27,12 +27,14 @@ sweep per S_N-orbit of W, which ``enumerate_classes`` reads too.  ``repeated_ht_
 through one front door, ``_scan``, which checks (N, W, semantics) once.
 The sweep reads one transversal of N^(N-1)/ord(W) zero-sum vectors, one
 per class, for every W, and checks the one row limit,
-``_bulk.MAX_TABLE_ROWS``, before it builds that table.  It steps each class
-through its ord(W) distinct members; the indexed weights are the set
-weights repeated g = N/ord(W) times, so one sweep holds the flagged classes
-of both semantics, and every report of a scan is set/indexed divergent when
-g > 1 and none is when g = 1.  Each report's other fields (sorted weights,
-least repeated value, multiplicity) come from the sweep's weight array.
+``_bulk.MAX_TABLE_ROWS``, before it allocates anything.  It reads the
+weights of each class's ord(W) distinct members from sums over the
+transversal's digit grid, with no table of members; the indexed weights
+are the set weights repeated g = N/ord(W) times, so one sweep holds the
+flagged classes of both semantics, and every report of a scan is
+set/indexed divergent when g > 1 and none is when g = 1.  Each report's
+other fields (sorted weights, least repeated value, multiplicity) come
+from the sweep's weight array.
 Its reports, classes and representatives skip their ``__post_init__``
 checks (``_scan_reports`` fills the reports' slots directly and builds their
 classes with ``characters._trusted_classes``); each condition is checked

@@ -3,7 +3,7 @@
 import gc
 import random
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 from math import gcd
 
 import numpy as np
@@ -418,6 +418,11 @@ ROW_LIMIT_PATHS = [((1,) * 6, 6 ** 4), ((2, 2, 2, 0, 0, 0), 2 * 6 ** 4), ((6,) +
 ROW_LIMIT_IDS = ["transversal", "order3", "full"]
 
 
+# the helpers that allocate a sweep's first table: the weight kernel's lift tables,
+# and the transversal table that members and canonical codes read
+FIRST_ALLOCATIONS = ["_free_lifts", "_transversal_table"]
+
+
 class TestRowLimit:
     """``_bulk.MAX_TABLE_ROWS`` is checked once, by ``class_sweep`` before it
     builds a table, for class enumeration and all three scan functions alike: all of
@@ -431,7 +436,8 @@ class TestRowLimit:
         def no_table(*args):
             raise AssertionError("a table was allocated past the row limit")
 
-        monkeypatch.setattr(_bulk, "_transversal_table", no_table)
+        for name in FIRST_ALLOCATIONS:
+            monkeypatch.setattr(_bulk, name, no_table)
         w = WeightVector(6, weights)
         cls = class_of((0,) * 6, w)
         calls = [
@@ -461,13 +467,14 @@ class TestRowLimit:
         def no_table(*args):
             raise AssertionError("a table was allocated past the row limit")
 
-        monkeypatch.setattr(_bulk, "_transversal_table", no_table)
+        for name in FIRST_ALLOCATIONS:
+            monkeypatch.setattr(_bulk, name, no_table)
         for weights, rows in [((3, 3, 3) + (0,) * 6, 14348907), ((9,) + (0,) * 8, 43046721)]:
             with pytest.raises(ValueError, match=f"needs {rows} rows, over the limit of 10000000$"):
                 repeated_ht_scan(9, WeightVector(9, weights))
 
     def test_unit_weight_at_n9_is_admitted(self, monkeypatch):
-        # 9^7 rows pass the row check; stop at the table builder, before the sweep
+        # 9^7 rows pass the row check; stop at the first table builder, before the sweep
         _clear_bulk_caches()
 
         class Built(Exception):
@@ -476,7 +483,8 @@ class TestRowLimit:
         def sentinel(*args):
             raise Built
 
-        monkeypatch.setattr(_bulk, "_transversal_table", sentinel)
+        for name in FIRST_ALLOCATIONS:
+            monkeypatch.setattr(_bulk, name, sentinel)
         for weights in [(1,) * 9, (3, 3, 2) + (0,) * 5 + (1,)]:
             with pytest.raises(Built):
                 _bulk.class_sweep(9, weights)
@@ -732,9 +740,8 @@ class TestSweepOracle:
 
     def test_weight_sweep_holds_no_codes(self):
         # the cached sweep holds int8 weights and two masks and builds no codes and no
-        # member array: class_sweep(8, (1,) * 8) peaks at 7.6 MB, 29 bytes a class, under
-        # a bound of 32; building each class's codes and int32 member codes as well
-        # takes it to 16.8 MB
+        # member array: class_sweep(8, (1,) * 8) peaks at 3.9 MB, 15 bytes a class, under
+        # a bound of 32; an int32 member code array alone takes 8.4 MB
         _clear_bulk_caches()
         tracemalloc.start()
         try:
@@ -745,6 +752,101 @@ class TestSweepOracle:
             _clear_bulk_caches()
         assert sweep.weights.shape == (8, 8 ** 6)
         assert peak < 4 * sweep.weights.nbytes, peak
+
+
+def _sorted_weights(n):
+    """Every sorted W at N = n: one per S_N-orbit."""
+    return sorted({tuple(sorted(w, reverse=True)) for w in _compositions(n)})
+
+
+def _column_oracle(n, weights, column):
+    """Plain Python: the sorted weights of the ord(W) distinct members v + kW of
+    the transversal column v, lift/N - 1 when totally nonzero, else N."""
+    order = n // gcd(n, *weights)
+    members = [[(e + k * w) % n for e, w in zip(column, weights)] for k in range(order)]
+    return sorted(sum(u) // n - 1 if all(u) else n for u in members)
+
+
+def _check_columns(n, weights, sweep, columns, table):
+    """Each of these columns of the sweep's weights and flags against the oracle;
+    ``table`` holds the transversal columns, one per entry of ``columns``."""
+    g = gcd(n, *weights)
+    got = sweep.weights.take(columns, axis=1).T.tolist()
+    for c, column, ht in zip(columns.tolist(), table.T.tolist(), got):
+        expected = _column_oracle(n, weights, column)
+        assert ht == expected, (weights, c, column)
+        repeat = any(a == b < n for a, b in zip(expected, expected[1:]))
+        assert bool(sweep.flagged[False][c]) == repeat, (weights, c)
+        assert bool(sweep.flagged[True][c]) == (repeat or (g > 1 and expected[0] < n)), (weights, c)
+
+
+class TestWeightKernel:
+    """``class_sweep``'s weights, built from outer sums over the transversal's
+    digit grid (``_bulk._sweep_weights``), against plain Python on each
+    transversal column: every column at N <= 6, a seeded sample past that,
+    where the columns split into blocks, and the flags of every arrangement
+    of a W against those of its sorted form."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_every_column(self, n):
+        for weights in _sorted_weights(n):
+            sweep = _bulk.class_sweep(n, weights)
+            table = _transversal(n, weights)
+            _check_columns(n, weights, sweep, np.arange(table.shape[1]), table)
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_seeded_columns(self, n):
+        # at N = 8 the classical sweep's 8^6 columns are 8 blocks, and (8, 0, ..., 0)'s
+        # 8^7 are 64; N = 9 is admitted only when g = 1, so it takes the classical weight
+        rng = np.random.default_rng(2500 + n)
+        cases = _sorted_weights(n) if n < 9 else [(1,) * 9]
+        for weights in cases:
+            _clear_bulk_caches()
+            sweep = _bulk.class_sweep(n, weights)
+            rows = sweep.weights.shape[1]
+            columns = np.unique(np.concatenate([[0, rows - 1], rng.integers(0, rows, 150)]))
+            _check_columns(n, weights, sweep, columns, sweep.members(columns))
+        _clear_bulk_caches()
+
+    @pytest.mark.parametrize(
+        "n,weights,limit",
+        [(5, (2, 1, 1, 1, 0), None), (5, (5, 0, 0, 0, 0), None), (6, (3, 3, 0, 0, 0, 0), None),
+         (6, (2, 2, 2, 0, 0, 0), None), (6, (2, 2, 1, 1, 0, 0), 12), (7, (2, 2, 2, 1, 0, 0, 0), 6),
+         (7, (7, 0, 0, 0, 0, 0, 0), None)],
+    )
+    def test_arrangements(self, n, weights, limit):
+        # a sweep of W's own arrangement (its transversal coordinate anywhere, the
+        # forced one first when it is last) has the same classes as the sweep of sorted
+        # W, with the same weights and flags: matched by canonical code
+        arrangements = sorted(set(permutations(weights)))
+        if limit is not None:
+            arrangements = random.Random(2500).sample(arrangements, limit)
+        assert len(arrangements) > 1
+        ref = _bulk.sweep_for(n, weights)
+        for w in arrangements:
+            own = _bulk.class_sweep(n, w)
+            codes, order, _ = _bulk.canonicalise(n, w, own.members())
+            ref_codes, columns = ref.canonical(w)
+            assert np.array_equal(codes, ref_codes), w
+            assert np.array_equal(own.weights[:, order], ref.weights[:, columns]), w
+            for indexed in (False, True):
+                assert np.array_equal(own.flagged[indexed][order], ref.flagged[indexed][columns]), w
+
+    def test_n9_peak_below_three_weight_arrays(self):
+        # the weights are the one array the sweep keeps; building them from digit-grid
+        # sums in blocks, and the repeat mask a row pair at a time, peaks at 1.9 times
+        # their 43 MB under tracemalloc, where stepping an (N, rows) table by W and
+        # masking all row pairs at once peaked at 3.8 times
+        _clear_bulk_caches()
+        tracemalloc.start()
+        try:
+            sweep = _bulk.class_sweep(9, (1,) * 9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            _clear_bulk_caches()
+        assert sweep.weights.shape == (9, 9 ** 7)
+        assert peak < 3 * sweep.weights.nbytes, peak
 
 
 # every W at N <= 5, the classical weight at N = 6, 7, and the order-1 weight (7, 0, ..., 0)
