@@ -224,7 +224,10 @@ class ClassSweep:
     Column c of each array is the class of column c of the transversal
     {v : v_at < g}, where g = gcd(N, W) and ``at`` is its j (see the module
     docstring).  Column c of ``weights`` holds class c's set weights as
-    ``class_sweep`` sorts them (int8, ord(W) rows).
+    ``class_sweep`` sorts them (int8, ord(W) rows): ascending, then N for
+    each member that is not totally nonzero.  The repeated-weight scan reads
+    each report's weights, repeated value and multiplicity from its class's
+    column, once per distinct column (``hodge._scan_reports``).
     ``flagged[indexed]`` is a boolean mask over the columns: the classes
     whose weight multiset has a repeat, under set (False) or indexed (True)
     semantics.  The indexed multiset is the set one repeated g times, so a
@@ -296,51 +299,6 @@ class ClassSweep:
         inverse = np.argsort(self._frame(weight))
         codes, order, _ = canonicalise(self.modulus, weight, self.members(columns)[inverse])
         return codes, order if columns is None else columns.take(order)
-
-    def report_fields(self, columns: np.ndarray, indexed: bool):
-        """(weights, dimension, repeated_value, multiplicity) of the classes of
-        these columns, one row or entry each.
-
-        Each class's weights are ascending, padded with N past its dimension
-        (ord(W) of them, or N under indexed semantics, each set weight
-        repeated g times); its repeated value is the least weight occurring
-        twice, with its count.  ``_check_reports`` checks the last three
-        before they are returned.
-        """
-        n = self.modulus
-        weights = self.weights.take(columns, axis=1)
-        if indexed and self.g > 1:
-            weights = np.repeat(weights, self.g, axis=0)
-        repeat = (weights[1:] == weights[:-1]) & (weights[1:] < n)
-        # walking up a sorted column, the last repeat met is at the least repeated value
-        value = np.full(weights.shape[1], n, dtype=np.int8)
-        for k in reversed(range(len(weights) - 1)):
-            np.copyto(value, weights[k], where=repeat[k])
-        # in a sorted column the value's run is one longer than its count of adjacent repeats
-        mults = 1 + (repeat & (weights[1:] == value)).sum(axis=0)
-        weights = weights.T
-        _check_reports(n, weights, value, mults)
-        return weights, (weights < n).sum(axis=1), value, mults
-
-
-def _check_reports(modulus: int, weights: np.ndarray, value: np.ndarray, mults: np.ndarray) -> None:
-    """Raise unless every row of ``weights`` holds its ``value`` (below N)
-    exactly ``mults`` >= 2 times.
-
-    These are the conditions of ``WitnessReport.__post_init__``: the
-    repeated-weight scan builds its reports from these arrays without it,
-    and this one vectorised pass is what it trusts instead.  A row's
-    weights are its entries below N, so a value below N is counted in them
-    alone.  ``report_fields`` counts each multiplicity on its sorted
-    column's run of the value, so the count over the whole row also checks
-    that run.
-    """
-    if not (value < modulus).all():
-        raise RuntimeError("a flagged class has no repeated weight")
-    if not (mults >= 2).all():
-        raise RuntimeError("a repeated weight has multiplicity below 2")
-    if not ((weights == value[:, None]).sum(axis=1) == mults).all():
-        raise RuntimeError("a stated multiplicity does not match its weight row")
 
 
 # the weight sweep gathers at most this many columns at a time: the take that does it

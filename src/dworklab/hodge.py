@@ -32,21 +32,25 @@ weights of each class's ord(W) distinct members from sums over the
 transversal's digit grid, with no table of members; the indexed weights
 are the set weights repeated g = N/ord(W) times, so one sweep holds the
 flagged classes of both semantics, and every report of a scan is
-set/indexed divergent when g > 1 and none is when g = 1.  Each report's
-other fields (sorted weights, least repeated value, multiplicity) come
-from the sweep's weight array.
+set/indexed divergent when g > 1 and none is when g = 1.  A report's
+other fields (weights, least repeated value, multiplicity) depend only on
+its class's sorted column of the sweep's weights, so they are built once
+per distinct column, from one checked ``HodgeData``.
 Its reports, classes and representatives skip their ``__post_init__``
 checks (``_scan_reports`` fills the reports' slots directly and builds their
 classes with ``characters._trusted_classes``); each condition is checked
-once on the arrays instead.  ``_bulk.canonicalise`` checks that
-the codes are those of canonical (least) members, ``_bulk.decode_many`` that each
-decoded row sums to 0 mod N, and ``_bulk._check_reports`` that each value
-occurs in its weight row exactly its multiplicity >= 2 times.  The public
-constructors keep all their checks, and the per-class recipe is the scan's
-test oracle.  The CLI builds only the reports it prints (``_scan_reports``
-with a stop) and reads the count from the sweep's flag mask.  The loops
-that build one object per report or representative (``_scan_reports``
-after its array checks, and ``repeated_class_representatives``' decode) run
+once instead.  ``_bulk.canonicalise`` checks on the arrays that the codes
+are those of canonical (least) members, and ``_bulk.decode_many`` that each
+decoded row sums to 0 mod N.  A report's value is the least of its
+``HodgeData``'s ``repeated_values()`` and its multiplicity is counted in
+those weights, so both conditions of ``WitnessReport`` hold by
+construction; a flagged column whose weights have no repeat, a flag mask
+at odds with the weights, raises.  The public constructors keep all their
+checks, and the per-class recipe is the scan's test oracle.  The CLI
+builds only the reports it prints (``_scan_reports`` with a stop) and
+reads the count from the sweep's flag mask.  The loops that build one
+object per report or representative (``_scan_reports`` after its checks,
+and ``repeated_class_representatives``' decode) run
 with the cyclic garbage collector paused (``_bulk.gc_paused``): the
 objects are frozen, slotted and refer to no object that refers back, so
 reference counting frees them and a collector pass over them would find
@@ -61,8 +65,8 @@ one column's flag.  ``repeated_ht_scan`` and
 frame through the inverse of sigma and canonicalise only those, since
 canonical representatives are in W's own order; ``enumerate_classes``
 canonicalises every column.  ``repeated_ht_scan`` builds one
-``HodgeData`` per distinct weight row and its reports share those frozen
-objects.
+``HodgeData`` per distinct weight column and its reports share those
+frozen objects.
 """
 
 from dataclasses import dataclass
@@ -358,14 +362,15 @@ def repeated_ht_scan(
     Ordered by canonical representative.  Independent of the witness
     constructions above: it reads the flagged columns of the sweep of sorted
     W, maps them back to W's frame and canonicalises only those
-    (``_bulk.ClassSweep.canonical``), and each report's other fields come
-    from the same columns of the sweep's weight array
-    (``_bulk.ClassSweep.report_fields``), not from the per-class recipe.
-    No report, class or representative runs its own ``__post_init__``:
-    each condition it would check is checked once on the arrays, by
-    ``_bulk._check_canonical`` (canonical codes), ``_bulk.decode_many``
-    (zero-sum rows) and ``_bulk._check_reports`` (value and multiplicity).
-    Each distinct weight row gets one checked ``HodgeData``.  The reports
+    (``_bulk.ClassSweep.canonical``).  Each report's other fields come from
+    its class's column of the sweep's weights, not from the per-class
+    recipe: each distinct column gets one checked ``HodgeData``, and its
+    least repeated value and that value's count are the repeated value and
+    multiplicity of every report with that column.  No report, class or
+    representative runs its own ``__post_init__``: the canonical codes are
+    checked once on the arrays by ``_bulk._check_canonical`` and the
+    zero-sum rows by ``_bulk.decode_many``, and a report's value and
+    multiplicity are read off its own checked ``HodgeData``.  The reports
     are decoded and built with the cyclic garbage collector paused
     (``_bulk.gc_paused``): 125,475 of them at N = 8 would otherwise start
     hundreds of collections, and none of them is part of a cycle.
@@ -378,23 +383,36 @@ def _scan_reports(
 ) -> tuple[WitnessReport, ...]:
     """The reports of the scan's first ``stop`` classes (all when None): the
     one report builder, for ``repeated_ht_scan`` and for the CLI, which
-    prints the first 50."""
+    prints the first 50.
+
+    Raises RuntimeError when a flagged column's weights have no repeat, that
+    is, when the sweep's flag mask disagrees with its weights.
+    """
     weight, sweep, indexed = _scan(modulus, weight, semantics)
     codes, columns = sweep.canonical(weight.entries, np.flatnonzero(sweep.flagged[indexed]))
     codes, columns = codes[:stop], columns[:stop]
-    weights, dims, values, mults = sweep.report_fields(columns, indexed)
-    # one HodgeData per distinct weight row, shared by every report with that row; row
-    # entries lie in 0..N, so a row's base-(N+1) value (below 2^63 for N <= 15, past the
-    # row limit) identifies it, and a 1-d unique is far cheaper than np.unique(axis=0)
-    powers = (modulus + 1) ** np.arange(weights.shape[1], dtype=np.int64)
-    _, first, row_of = np.unique(weights @ powers, return_index=True, return_inverse=True)
-    hodge = [
-        HodgeData(modulus, dim, tuple(row[:dim]), semantics)
-        for row, dim in zip(weights[first].tolist(), dims[first].tolist())
-    ]
+    # one (HodgeData, value, multiplicity) per distinct weight column, shared by every
+    # report with that column; entries lie in 0..N, so a column's base-(N+1) value
+    # (below 2^63 for N <= 15, past the row limit) identifies it, and a 1-d unique is far
+    # cheaper than np.unique(axis=0)
+    powers = (modulus + 1) ** np.arange(len(sweep.weights), dtype=np.int64)
+    _, first, row_of = np.unique(
+        powers @ sweep.weights.take(columns, axis=1), return_index=True, return_inverse=True
+    )
+    # a column holds the set weights, then N for each member that is not totally nonzero
+    repeat = sweep.g if indexed else 1
+    fields = []
+    for column in sweep.weights.take(columns.take(first), axis=1).T.tolist():
+        multiset = tuple(w for w in column if w < modulus for _ in range(repeat))
+        data = HodgeData(modulus, len(multiset), multiset, semantics)
+        values = data.repeated_values()
+        if not values:
+            raise RuntimeError("a flagged class has no repeated weight")
+        fields.append((data, values[0], multiset.count(values[0])))
     divergent = sweep.g > 1
-    # each report is built without its __post_init__ (checked on the arrays above), its
-    # frozen slots filled through their member descriptors; its class by _trusted_classes
+    # each report is built without its __post_init__ (its value repeats in its checked
+    # HodgeData, and is counted there), its frozen slots filled through their member
+    # descriptors; its class by _trusted_classes
     new = object.__new__
     set_class, set_hodge, set_value, set_mult, set_divergent = (
         vars(WitnessReport)[f].__set__ for f in WitnessReport.__slots__
@@ -403,10 +421,11 @@ def _scan_reports(
     with _bulk.gc_paused():
         reports = []
         classes = _trusted_classes(weight, _bulk.decode_many(codes, modulus))
-        for cls, row, value, mult in zip(classes, row_of.tolist(), values.tolist(), mults.tolist()):
+        for cls, row in zip(classes, row_of.tolist()):
+            data, value, mult = fields[row]
             report = new(WitnessReport)
             set_class(report, cls)
-            set_hodge(report, hodge[row])
+            set_hodge(report, data)
             set_value(report, value)
             set_mult(report, mult)
             set_divergent(report, divergent)

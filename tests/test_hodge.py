@@ -140,6 +140,15 @@ class TestHodgeData:
         with pytest.raises(ValueError):
             HodgeData(5, 1, (4,), "set")
 
+    @pytest.mark.parametrize("weights,expected", [
+        ((1, 2, 2, 3), (2,)),
+        ((0, 0, 1, 1, 1), (0, 1)),
+        ((0, 1, 2), ()),
+        ((), ()),
+    ])
+    def test_repeated_values(self, weights, expected):
+        assert HodgeData(5, len(weights), weights, "set").repeated_values() == expected
+
     def test_permutation_invariance(self):
         rng = random.Random(11)
         classes = enumerate_classes(5)
@@ -547,7 +556,13 @@ class TestScanReportOracle:
             reps = tuple(r.char_class.representative.entries for r in reports)
             expected = tuple(_witness_from_class(class_of(rep, w), semantics) for rep in reps)
             assert reports == expected, case
+            g = gcd(n, *weights) if semantics == "indexed" else 1
             for r in reports:
+                ws = r.hodge.weights
+                assert r.repeated_value == min(v for v in ws if ws.count(v) > 1), (case, r)
+                assert r.multiplicity == ws.count(r.repeated_value), (case, r)
+                # indexed weights are the set weights repeated g times
+                assert all(ws.count(v) % g == 0 for v in ws), (case, r)
                 assert type(r.repeated_value) is type(r.multiplicity) is int, case
                 assert type(r.semantics_divergent) is bool, case
                 assert all(type(x) is int for x in r.hodge.weights), case
@@ -919,8 +934,10 @@ class TestTrustedConstruction:
 
 
 class TestSweepCheck:
-    """The array check behind the trusted construction (``_bulk._check_canonical``);
-    every canonicalisation runs it, so the tests above cover arrays it accepts."""
+    """The checks behind the trusted construction: the array checks
+    (``_bulk._check_canonical``, ``_bulk.decode_many``), which every
+    canonicalisation and decode runs, so the tests above cover arrays they
+    accept; and the scan's refusal of a flagged column with no repeat."""
 
     def _canonical_arrays(self):
         codes, _, member = _bulk.canonicalise(5, (1,) * 5, _transversal(5, (1,) * 5))
@@ -948,35 +965,20 @@ class TestSweepCheck:
         with pytest.raises(RuntimeError, match="zero-sum"):
             _bulk.decode_many(np.append(codes, 1), 5)
 
-    def _report_arrays(self):
-        # the classical N = 6 scan: 395 reports of multiplicity 2 and 30 of multiplicity 3
-        sweep = _bulk.class_sweep(6, (1,) * 6)
-        weights, _, values, mults = sweep.report_fields(np.flatnonzero(sweep.flagged[True]), True)
-        assert set(mults.tolist()) == {2, 3}
-        return weights, values.copy(), mults.copy()
-
-    def test_report_arrays_accepted(self):
-        _bulk._check_reports(6, *self._report_arrays())
-
-    def test_multiplicity_below_two_raises(self):
-        weights, values, mults = self._report_arrays()
-        mults[0] = 1
-        with pytest.raises(RuntimeError, match="below 2"):
-            _bulk._check_reports(6, weights, values, mults)
-
-    @pytest.mark.parametrize("stated,delta", [(2, 1), (3, 1), (3, -1)])
-    def test_multiplicity_off_its_row_raises(self, stated, delta):
-        weights, values, mults = self._report_arrays()
-        i = int(np.flatnonzero(mults == stated)[0])
-        mults[i] += delta
-        with pytest.raises(RuntimeError, match="does not match"):
-            _bulk._check_reports(6, weights, values, mults)
-
-    def test_value_without_repeat_raises(self):
-        weights, values, mults = self._report_arrays()
-        values[0] = 6
-        with pytest.raises(RuntimeError, match="no repeated weight"):
-            _bulk._check_reports(6, weights, values, mults)
+    def test_value_without_repeat_raises(self, monkeypatch):
+        # a real sweep served with one more column flagged under both semantics, whose
+        # weights have no repeat: at g = 3 only a column with no weight at all has none
+        for weights in [(1,) * 6, (3, 3, 0, 0, 0, 0)]:
+            sweep = _bulk.class_sweep(6, weights)
+            flagged = tuple(mask.copy() for mask in sweep.flagged)
+            column = int(np.flatnonzero(~flagged[True])[0])
+            for mask in flagged:
+                mask[column] = True
+            bad = _bulk.ClassSweep(6, weights, sweep.g, sweep.at, sweep.weights, flagged)
+            monkeypatch.setattr(_bulk, "sweep_for", lambda modulus, weight: bad)
+            for semantics in ("set", "indexed"):
+                with pytest.raises(RuntimeError, match="no repeated weight"):
+                    repeated_ht_scan(6, WeightVector(6, weights), semantics)
 
 
 class TestGcPaused:
@@ -996,15 +998,11 @@ class TestGcPaused:
         assert gc.isenabled()
 
     def test_reenabled_after_an_exception(self):
-        # a report array check that fails inside the pause
-        sweep = _bulk.class_sweep(6, (1,) * 6)
-        weights, _, values, mults = sweep.report_fields(np.flatnonzero(sweep.flagged[True]), True)
-        mults = mults.copy()
-        mults[0] = 1
+        # a decoded-row check that fails inside the pause: code 1 is (0, 0, 0, 0, 1)
         gc.enable()
-        with pytest.raises(RuntimeError, match="below 2"):
+        with pytest.raises(RuntimeError, match="zero-sum"):
             with _bulk.gc_paused():
-                _bulk._check_reports(6, weights, values, mults)
+                _bulk.decode_many(np.array([1]), 5)
         assert gc.isenabled()
 
     def test_caller_disabled_stays_disabled(self):
