@@ -318,11 +318,17 @@ def zero_dominant_form(cls: CharClass) -> ResidueVector:
     """Sorted entries of the lex-least zero-maximising coset element.
 
     A per-class label: pick the smallest raw coset element among those with
-    the most zeros, then sort.  Zero occurs at least as often as any other
-    value in the result.  Unlike ``orbit_normal_form`` this does not collapse
-    S_N-equivalent classes whose zero-maximising multisets differ, which is
-    how the classical N = 5 family ends up with 8 table rows but only 6
-    orbits.
+    the most zeros, then sort.  Unlike ``orbit_normal_form`` this does not
+    collapse S_N-equivalent classes whose zero-maximising multisets differ,
+    which is how the classical N = 5 family ends up with 8 table rows but
+    only 6 orbits.
+
+    The forms are exactly the sorted zero-sum vectors s in which 0 is a most
+    frequent entry.  A form is one: v + k has as many zeros as v has entries
+    equal to -k, so an entry of the zero-maximising element occurring more
+    often than 0 would give a member with more zeros.  Every such s is its own
+    form: s has the most zeros in its class, and any other zero-maximising
+    member s + k, k != 0, begins with k > 0 while s begins with 0.
     """
     _require_classical(cls, "zero_dominant_form")
     members = set(_shifts(cls.representative.entries, cls.weight))

@@ -14,9 +14,15 @@ contain exact integers only, orderings are deterministic, and repeated runs
 with the same flags produce byte-identical JSON (timings are therefore
 reported on stderr, never in the document).
 
+The classical ``hodge`` table and ``report``'s table read no class table: their
+rows, the zero-dominant forms, are the sorted zero-sum vectors in which 0 is a
+most frequent entry (``characters.zero_dominant_form``), filtered from the
+C(2N-1, N) sorted N-tuples.
+
 Exit codes: 0 success, 2 usage (an --out path that cannot be written
 included, with nothing on stdout), 3 domain (smoothness / characteristic /
-capability), 4 work budget or class-table row limit exceeded.
+capability), 4 work budget or row limit exceeded (class table, or sorted tuples
+of the classical table).
 
 A command and the writing of its document run with the cyclic garbage
 collector paused (``_bulk.gc_paused``): their row dicts, lists, classes and
@@ -30,6 +36,8 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement
+from math import comb
 
 from . import __version__, _bulk
 from .characters import (
@@ -166,16 +174,24 @@ def _class_row(cls: CharClass, indexed: bool = False, coset: bool = False) -> di
     return row
 
 
-def _classical_table(classes, weight: WeightVector) -> dict:
-    """One row per zero-dominant form, sorted by form, each with its orbit normal form."""
+def _classical_table(weight: WeightVector) -> dict:
+    """One row per zero-dominant form, sorted by form, each with its orbit normal form.
+
+    The forms are exactly the sorted zero-sum vectors in which 0 is a most frequent
+    entry (``zero_dominant_form``), so the rows come from a filter over the
+    C(2N-1, N) sorted N-tuples, in lexicographic order, with no class enumerated:
+    refused past the row limit before the first row.
+    """
+    n = weight.modulus
+    _bulk._check_rows(n, comb(2 * n - 1, n))
     rows = {}
-    for cls in classes:
-        form = zero_dominant_form(cls).entries
-        if form not in rows:
-            row = _class_row(class_of(form, weight))
+    for form in combinations_with_replacement(range(n), n):
+        if sum(form) % n == 0 and form.count(0) == max(map(form.count, form)):
+            cls = class_of(form, weight)
+            row = _class_row(cls)
             row["orbit_normal_form"] = _entries(orbit_normal_form(cls))
             rows[form] = row
-    return {form: rows[form] for form in sorted(rows)}
+    return rows
 
 
 def cmd_classes(args) -> ReportDocument:
@@ -218,7 +234,7 @@ def cmd_hodge(args) -> ReportDocument:
         payload = _class_row(cls, indexed=True, coset=True)
     elif weight.classical:
         payload = {
-            "rows": list(_classical_table(enumerate_classes(args.N, weight), weight).values()),
+            "rows": list(_classical_table(weight).values()),
             "total_dimension": total_dimension(args.N, weight),
         }
     else:
@@ -401,7 +417,7 @@ def cmd_report(args) -> ReportDocument:
     weight = classical_weight(n)
     classes = enumerate_classes(n, weight)
 
-    rows = _classical_table(classes, weight)
+    rows = _classical_table(weight)
     for form, row in rows.items():
         row["dual"] = _entries(zero_dominant_form(dual_class(class_of(form, weight))))
 

@@ -830,6 +830,8 @@ def count_projective_fast(
     """
     if not spec.weight.classical:
         raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
+    if spec.N < 2:
+        raise CapabilityError("the stratified counter requires N >= 2")
     field = spec.field
     q, N = field.q, spec.N
     required = _fast_work(q, N)

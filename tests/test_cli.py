@@ -7,18 +7,22 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from functools import lru_cache
 from itertools import product
 
 import pytest
 
+from dworklab import cli
 from dworklab.characters import (
     WeightVector,
     class_of,
     classical_weight,
     coset_elements,
     enumerate_classes,
+    orbit_normal_form,
+    zero_dominant_form,
 )
-from dworklab.cli import main
+from dworklab.cli import _class_row, _classical_table, main
 from dworklab.hodge import hodge_data, totally_nonzero_representatives
 
 try:
@@ -69,12 +73,14 @@ class TestClasses:
         assert "sum" in err
 
     def test_past_row_limit_exits_4(self, capsys):
-        # the transversal of N = 10 has 10^8 rows, over the 10 M row limit: refused
-        # before allocation, like a count over the work budget
-        for command in ("classes", "hodge"):
-            code, out, err = run([command, "--N", "10"], capsys)
+        # the transversal of N = 10 has 10^8 rows, and that of W = (10,0,...,0),
+        # of order 1, 10^9: over the 10 M row limit, refused before allocation,
+        # like a count over the work budget
+        for argv, rows in [(["classes", "--N", "10"], 10 ** 8),
+                           (["hodge", "--N", "10", "--W", "10" + ",0" * 9], 10 ** 9)]:
+            code, out, err = run(argv, capsys)
             assert code == 4 and out == ""
-            assert "needs 100000000 rows, over the limit of 10000000" in err
+            assert f"needs {rows} rows, over the limit of 10000000" in err
 
     def test_built_with_collector_paused(self, capsys, collections_started):
         # 16,807 classes, their rows and the JSON text: at most the one gen-0 pass
@@ -111,6 +117,22 @@ class TestHodge:
         assert by_rep[(0, 0, 0, 0, 0)]["weights"] == [0, 1, 2, 3]
         assert by_rep[(0, 1, 2, 3, 4)]["dimension"] == 0
         assert by_rep[(0, 0, 2, 4, 4)]["totally_nonzero"] == [[2, 2, 4, 1, 1], [4, 4, 1, 3, 3]]
+
+    def test_classical_table_past_class_limit(self, capsys):
+        # the classical table reads sorted vectors, not the 10^8 classes
+        p = run_json(["hodge", "--N", "10"], capsys)["payload"]
+        assert len(p["rows"]) == 1290
+        assert p["total_dimension"] == 348_678_441
+
+    def test_classical_table_refused_before_first_row(self, capsys, monkeypatch):
+        # C(27, 14) sorted 14-tuples are over the row limit: refused before any class
+        def no_class(*args):
+            raise AssertionError("a class was built")
+
+        monkeypatch.setattr(cli, "class_of", no_class)
+        code, out, err = run(["hodge", "--N", "14"], capsys)
+        assert code == 4 and out == ""
+        assert "needs 20058300 rows" in err
 
     def test_nonzero_sum_vector_exits_2(self, capsys):
         code, _, err = run(["hodge", "--N", "5", "--v", "0,0,1,1,1"], capsys)
@@ -211,6 +233,46 @@ class TestRowsMatchOracle:
             _check_row(row, class_of(row["representative"], w), indexed=False)
         census = Counter(hodge_data(c, "set").dimension for c in enumerate_classes(5, w))
         assert p["dimension_census"] == {str(d): census[d] for d in sorted(census)}
+
+
+def _oracle_table(n):
+    """The classical table the long way: ``zero_dominant_form`` of every class,
+    deduped and sorted, each row with the orbit normal form of the first class
+    that has that form."""
+    w = classical_weight(n)
+    rows = {}
+    for cls in enumerate_classes(n, w):
+        form = zero_dominant_form(cls).entries
+        if form not in rows:
+            row = _class_row(class_of(form, w))
+            row["orbit_normal_form"] = list(orbit_normal_form(cls).entries)
+            rows[form] = row
+    return {form: rows[form] for form in sorted(rows)}
+
+
+@lru_cache(maxsize=None)
+def _table(n):
+    return _classical_table(classical_weight(n))
+
+
+class TestClassicalTable:
+    """``cli._classical_table`` keeps the sorted zero-sum vectors in which 0 is a
+    most frequent entry; the zero-dominant forms of all classes are its oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_class_loop(self, n):
+        assert list(_table(n).items()) == list(_oracle_table(n).items())
+
+    @pytest.mark.parametrize("n", [9, 10, 11])
+    def test_keys_are_their_forms(self, n):
+        w = classical_weight(n)
+        for s in _table(n):
+            assert list(s) == sorted(s) and sum(s) % n == 0
+            assert zero_dominant_form(class_of(s, w)).entries == s
+
+    def test_row_counts(self):
+        assert [len(_table(n)) for n in range(1, 12)] == \
+            [1, 1, 2, 3, 8, 19, 49, 142, 414, 1290, 4044]
 
 
 class TestWitness:
@@ -345,6 +407,15 @@ class TestCount:
     def test_bad_characteristic_exits_3(self, capsys):
         code, _, _ = run(["count", "--N", "5", "--p", "5", "--t", "2"], capsys)
         assert code == 3
+
+    def test_fast_at_n1_exits_3(self, capsys):
+        # a capability refusal, not a usage error; the naive counter finds no point
+        code, out, err = run(["count", "--N", "1", "--p", "5", "--t", "2", "--strategy", "fast"],
+                             capsys)
+        assert code == 3 and out == ""
+        assert err == "error: the stratified counter requires N >= 2\n"
+        doc = run_json(["count", "--N", "1", "--p", "5", "--t", "2"], capsys)
+        assert doc["payload"]["fibers"][0]["projective_count"] == 0
 
     def test_budget_exits_4(self, capsys):
         code, _, err = run(
@@ -586,6 +657,10 @@ PINNED_OUTPUTS = {
         "dc40e91fe6c3c5eb6499a219cd736cc1c6f2c0aad48f3147d9bf4b9f5fbd8ac0",
     ("classes", "--N", "6"): "ce351cb9f6469f4e092ea0b6d478a81f85dc56153c8977f4f9e96c237021060a",
     ("hodge", "--N", "6"): "41e1bbd1f3c1415be1b5c071502f38260d8283e9e17275201f44f27bc5e58f7d",
+    # printed when the classical table was read off every class's zero-dominant form
+    ("hodge", "--N", "7"): "e990095ecbd30e88529f23e9ee928370dcd959e624ec5a7370408903f1a4bdfd",
+    ("hodge", "--N", "8"): "87cfeebcc523d4ee91472984a43d8badf357ec229adb20738d7c1a18723ca6fb",
+    ("hodge", "--N", "9"): "a2b439a1e56ab5fae47da6b7bee5aaa5f23278655d660dfbe1478e8b9d8a94b8",
     # weights with no unit entry; (2,0,0,0,3,1)'s only unit is its last entry
     ("classes", "--N", "6", "--W", "2,2,2,0,0,0"):
         "429130bd8a10559d51aff2b8ab2b31fc4fa0379f1719a3093084ceab83fbfe93",

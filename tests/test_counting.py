@@ -506,6 +506,14 @@ class TestFastCounter:
         with pytest.raises(CapabilityError):
             count_projective_fast(spec)
 
+    def test_refuses_n1_naive_keeps_it(self):
+        # the sweep has N - 2 middle coordinates: none to sweep at N = 1, a
+        # capability refusal rather than a ValueError from the multinomials
+        spec = FiberSpec(1, classical_weight(1), 2, field_make(5, 1))
+        with pytest.raises(CapabilityError, match="N >= 2"):
+            count_projective_fast(spec)
+        assert count_projective_naive(spec).projective_count == 0
+
     def test_extension_field_equals_naive(self):
         spec = FiberSpec(5, W5, 2, field_make(3, 2))
         assert count_projective_fast(spec).projective_count == \
@@ -1057,6 +1065,11 @@ class TestTower:
         tower = tower_counts(spec, 2)
         assert [fc.strategy for fc in tower] == ["naive", "naive"]
         assert tower[1].projective_count == brute_count(tower[1].spec)
+
+    def test_classical_n1_refused(self):
+        spec = FiberSpec(1, classical_weight(1), 2, field_make(5, 1))
+        with pytest.raises(CapabilityError, match="N >= 2"):
+            tower_counts(spec, 2)
 
     def test_extension_parameter_rejected(self):
         f9 = field_make(3, 2)
