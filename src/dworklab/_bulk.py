@@ -68,12 +68,10 @@ class RowLimitError(ValueError):
     """A class table past ``MAX_TABLE_ROWS``, refused before it is built."""
 
 
-def _check_rows(modulus: int, rows: int) -> None:
+def _check_rows(what: str, rows: int) -> None:
+    """Refuse `what`, which counts `rows` rows, past ``MAX_TABLE_ROWS``."""
     if rows > MAX_TABLE_ROWS:
-        raise RowLimitError(
-            f"class enumeration for modulus {modulus} needs {rows} rows, "
-            f"over the limit of {MAX_TABLE_ROWS}"
-        )
+        raise RowLimitError(f"{what} needs {rows} rows, over the limit of {MAX_TABLE_ROWS}")
 
 
 @contextmanager
@@ -386,7 +384,7 @@ def class_sweep(modulus: int, weight: tuple[int, ...]) -> ClassSweep:
     """
     n = modulus
     g = gcd(n, *weight)
-    _check_rows(n, n ** (n - 1) // (n // g))
+    _check_rows(f"class enumeration for modulus {n}", n ** (n - 1) // (n // g))
     at = next(i for i, w in enumerate(weight) if gcd(w, n) == g)
     weights = _sweep_weights(n, weight, at, g)
     _sort_columns(weights)

@@ -183,7 +183,7 @@ def _classical_table(weight: WeightVector) -> dict:
     refused past the row limit before the first row.
     """
     n = weight.modulus
-    _bulk._check_rows(n, comb(2 * n - 1, n))
+    _bulk._check_rows(f"the classical table's filter over sorted {n}-tuples", comb(2 * n - 1, n))
     rows = {}
     for form in combinations_with_replacement(range(n), n):
         if sum(form) % n == 0 and form.count(0) == max(map(form.count, form)):

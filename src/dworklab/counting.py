@@ -36,16 +36,17 @@ elements against schoolbook polynomial arithmetic.
   the d + 1 cyclotomic classes {0} and g^i H (H the N-th powers, d =
   gcd(N, q-1)), so they are counted by a (d+1) x (d+1) matrix of
   cyclotomic numbers.  On the totally nonzero torus it normalizes the last
-  coordinate to 1 and resolves the first coordinate through
-  M[c][a] = #{x != 0 : x^N - c x = a}.  Scaling x shows that M[c][a]
-  depends only on (N-1) log a - N log c mod q-1 when a, c != 0, so M is
-  one line of 5(q-1) entries (`_m_line`).  The roots of unity mu_d act on
-  the torus without changing a term, so the sweep is quotiented by them,
-  with r = (q-1)/d.  A term depends only on the sum of the middle logs and of
-  their N-th powers, so the sweep visits each multiset of N-2 logs in
-  [0, r) once, C(r+N-3, N-2) of them, weighted by its multinomial; each
-  stands for its orderings times d^(N-2) tuples.  Total work
-  O(C(r+N-3, N-2) + e q), e = gcd(N-1, q-1), instead of O(q^(N-1)).
+  coordinate to 1, reads k of the others, R, from a table of
+  M_k[c][a] = #{R in (F_q^*)^k : sum R_i^N - c prod R_i = a} and sweeps
+  the remaining N-1-k: a meet in the middle.  Scaling R and the roots of
+  unity fold M_k into d + 1 rows of r = (q-1)/d entries (`_torus_table`).
+  The roots of unity mu_d act on the torus without changing a term, so
+  the sweep is quotiented by them.  A term depends only on the sum of the
+  middle logs and of their N-th powers, so the sweep visits each multiset
+  of N-1-k logs in [0, r) once, C(r+N-2-k, N-1-k) of them, weighted by its
+  multinomial.  k is the one of least estimated work (`_fast_plan`), in
+  all O((d+1) C(r+k-1, k) + C(r+N-2-k, N-1-k) + q) instead of
+  O(q^(N-1)): about r^2 at N = 5 and r^3 at N = 7.
 
 ``tower_counts`` uses the stratified counter for the classical weight and
 the naive one otherwise.  Both counters split their outer loop into ranges
@@ -438,8 +439,9 @@ def field_make(p: int, m: int) -> FiniteField:
         # refused before the modulus search, which alone would take seconds
         _check_table_q(p ** m)
     # tails generated one at a time, c_0 the most significant base-p digit of
-    # i: itertools.product would first copy range(p), p entries
-    for i in range(p ** m):
+    # i: itertools.product would first copy range(p), p entries.  For m > 1
+    # the scan starts at c_0 = 1, as x divides every tail with c_0 = 0
+    for i in range(p ** (m - 1) if m > 1 else 0, p ** m):
         coeffs = tuple(i // p ** (m - 1 - j) % p for j in range(m)) + (1,)
         if _is_irreducible(coeffs, p):
             return FiniteField(p, m, coeffs)
@@ -706,7 +708,8 @@ def count_projective_naive(
 # go through the Zech table.
 
 _GRID_MIN = 1 << 13  # r^inner, the ordered tuples the inner grid of sorted ones stands for: at least,
-_GRID_MAX = 1 << 21  # and at most (past this, its arrays fall out of cache)
+_GRID_MAX = 1 << 21  # and at most (past this, its arrays fall out of cache); also r^k of the table's grid
+_INT64 = 1 << 63  # the sweep's weights and int64 dot products stay below this
 
 
 def _grid_split(r: int, middle: int) -> int:
@@ -719,18 +722,33 @@ def _grid_split(r: int, middle: int) -> int:
     return inner
 
 
-def _fast_work(q: int, N: int) -> int:
-    """Work estimate of `count_projective_fast` over GF(q), checked against the budget.
+def _fast_plan(q: int, N: int) -> tuple[int, int]:
+    """(work, k): the least work estimate of `count_projective_fast` over GF(q), and its k.
 
-    With r = (q-1)/gcd(N, q-1), the torus sweep visits the C(r+N-3, N-2)
-    multisets of N-2 logs in [0, r) and builds one q-entry column table per
-    outer tuple (`_grid_split`); the M line reads e = gcd(N-1, q-1) rows of
-    q-1 Zech logs (`_m_line`), and the zero stratum reads q-1 more.
+    With d = gcd(N, q-1) and r = (q-1)/d, resolving k coordinates from the
+    table of `_torus_table` costs its d + 1 rows over the C(r+k-1, k) sorted
+    k-tuples; the sweep then visits the C(r+N-2-k, N-1-k) multisets of the
+    other middle logs and builds one q-entry column table per outer tuple
+    (`_grid_split`), and the zero stratum reads q more.  k runs over 1..N-1
+    while r^k stays within _GRID_MAX, the table's grid being built whole;
+    k = 1 is always admitted.  Ties go to the least k.
     """
-    r = (q - 1) // gcd(N, q - 1)
-    middle = max(N - 2, 0)
-    outer = middle - _grid_split(r, middle)
-    return comb(r + middle - 1, middle) + comb(r + outer - 1, outer) * q + gcd(N - 1, q - 1) * q + q
+    d = gcd(N, q - 1)
+    r = (q - 1) // d
+    plans = []
+    for k in range(1, max(N, 2)):
+        if k > 1 and r ** k > _GRID_MAX:
+            break
+        middle = max(N - 1 - k, 0)
+        outer = middle - _grid_split(r, middle)
+        sweep = comb(r + middle - 1, middle) + comb(r + outer - 1, outer) * q
+        plans.append(((d + 1) * comb(r + k - 1, k) + sweep + q, k))
+    return min(plans)
+
+
+def _fast_work(q: int, N: int) -> int:
+    """Work estimate of `count_projective_fast` over GF(q), checked against the budget (`_fast_plan`)."""
+    return _fast_plan(q, N)[0]
 
 
 def _zero_stratum(field: FiniteField, N: int) -> int:
@@ -767,127 +785,106 @@ def _zero_stratum(field: FiniteField, N: int) -> int:
     return affine // n
 
 
-def _m_line(field: FiniteField, N: int, c_zero: bool) -> tuple[np.ndarray, np.ndarray]:
-    """M[c][a] = #{x != 0 : x^N - c x = a} as one int32 line and its column map.
+def _sorted_tuples(k: int, r: int, powers: np.ndarray, zech: np.ndarray, n: int):
+    """Non-decreasing k-tuples of logs l_i in [0, r), in lexicographic order.
 
-    With n = q-1, b = log a (n for a = 0) and c = g^k, M[c][a] is
-    line[amap[b] + (-N k mod n)].  The map x -> z x sends (c, a) to
-    (c z^(1-N), a z^(-N)).  For a != 0 it keeps w = (N-1) b - N k mod n and
-    acts freely, as gcd(N-1, N) = 1, so its n orbits are the n fibers of w
-    and M[c][a] = F[w].  M[c][0] = #{x : x^(N-1) = c} is e = gcd(N-1, n)
-    when e | k and 0 otherwise, which -N k mod n tells, as e | n and
-    N = 1 mod e.  N r = 0 mod n for r = (q-1)/gcd(N, q-1), so k mod r gives
-    the same index.  The sweep adds the row term in two parts below n each,
-    which the line absorbs instead of reducing: it is F three times, then
-    the a = 0 entries twice from 3n, and amap[b] = (N-1) b mod n with
-    amap[n] = 3n.  F is counted on the rows k = 0..e-1, which meet every
-    fiber of w: for x = g^j, x^N - g^k x = g^(Nj) (1 + g^(k + j + h - Nj))
-    with g^h = -1, one Zech lookup per entry, and each w is hit by e
-    columns b of its row, all with the same count.  With c_zero the line
-    is the one row c = 0, read at amap[b] = b.
+    Returns sum l_i, the log of sum y_i^N over y_i = g^(l_i) (powers[l] is
+    N l mod n), the first log and how often it occurs, the last log and how
+    often it occurs, and the multinomial k!/prod c_v!, where c_v counts the
+    log v.  The empty tuple has sum 0, the log n of the empty power sum, and
+    first and last log 0, each occurring 0 times.
+    """
+    l = np.zeros(1, dtype=np.int64)
+    s = np.full(1, n, dtype=np.int64)
+    first = last = lead = trail = np.zeros(1, dtype=np.int64)
+    mult = np.ones(1, dtype=np.int64)
+    for i in range(k):
+        # each tuple ending in log a is extended by a, a+1, ..., r-1
+        ext = r - last
+        parent = np.repeat(np.arange(len(l)), ext)
+        v = np.arange(len(parent)) - np.repeat(np.cumsum(ext) - ext - last, ext)
+        trail = np.where(v == last[parent], trail[parent] + 1, 1)
+        first = first[parent] if i else v
+        lead = lead[parent] + (v == first)
+        mult = mult[parent] * (i + 1) // trail
+        last = v
+        l = l[parent] + v
+        s = _log_add(s[parent], powers[v], zech, n)
+    return l, s, first, lead, last, trail, mult
+
+
+def _torus_table(field: FiniteField, N: int, k: int, c_zero: bool, tuples: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """M_k[c][a] = #{R in (F_q^*)^k : sum R_i^N - c prod R_i = a}, over a power of d, as a line and its column map.
+
+    With n = q-1, d = gcd(N, n), r = n/d and c = g^gamma, M_k[c][a] is
+    d^(k-1) line[cmap[log a] + gamma mod r]; with c_zero the line is the one
+    row c = 0, d^k line[log a], a histogram of log sum R_i^N.  Multiplying
+    R_1 by z in mu_d gives M_k[c z][a] = M_k[c][a], and scaling R by z gives
+    M_k[c][a] = M_k[c z^(k-N)][a z^(-N)].  So for c != 0 the whole table is
+    T[j][beta] = M_k[g^beta][g^j] for j < d and T[d][beta] = M_k[g^beta][0],
+    beta in [0, r): a = g^alpha reduces to row j = alpha mod d by the z with
+    log zeta = (alpha - j)/d (N/d)^(-1) mod r (gcd(N/d, r) = 1), which moves
+    the column by (k-N) zeta.  Row j is a histogram of the sorted k-tuples
+    of logs in [0, r), weighted by their multinomials, at
+    beta = log(sum R_i^N - g^j) - sum log R_i mod r; the d^k lifts of a
+    tuple spread over the d columns c mu_d, hence d^(k-1).  An entry is at
+    most N r^(k-1): given R_2..R_k, at most N values of R_1 solve the
+    equation.  The sweep adds the column in two parts below r, so each row
+    is stored three times over instead of reduced.  `tuples` is
+    `_sorted_tuples` of k logs in [0, r).
     """
     log, zech = field.log_tables()
     q, n = field.q, field.q - 1
-    j = np.arange(n, dtype=np.int64)
-    power = N * j % n
+    d = gcd(N, n)
+    r = n // d
+    lsum, s, _, _, _, _, mult = tuples
+    # the bins sum at most r^k multinomials: exact in float64 within the grid cap
     if c_zero:
-        return np.arange(q, dtype=np.int64), np.bincount(power, minlength=q).astype(np.int32)
-    e = gcd(N - 1, n)
-    h = int(log[field.neg(1)])
-    k = np.arange(e, dtype=np.int64)[:, None]
-    z = zech[(k + j + h - power) % n]
-    w = ((N - 1) * (power + z) - N * k) % n
-    F = np.bincount(w[z != n], minlength=n) // e
-    Z = np.where(np.arange(n) % e == 0, e, 0)
-    amap = (N - 1) * np.arange(q, dtype=np.int64) % n
-    amap[n] = 3 * n
-    return amap, np.concatenate([F, F, F, Z, Z]).astype(np.int32)
+        return np.arange(q, dtype=np.int64), np.bincount(s, mult, minlength=q).astype(np.int64)
+    h = int(log[field.neg(1)])  # g^h = -1
+    # log(sum R_i^N - a) for a = g^0..g^(d-1) and 0, one row each; a tuple
+    # with sum R_i^N = a needs c = 0 and weighs nothing
+    x = np.vstack([_log_add(s, (np.arange(d, dtype=np.int64)[:, None] + h) % n, zech, n), s])
+    beta = (x - lsum) % r + r * np.arange(d + 1)[:, None]
+    table = np.bincount(beta.ravel(), (mult * (x != n)).ravel(), minlength=(d + 1) * r)
+    table = table.astype(np.int64).reshape(d + 1, r)
+    # the column map at a = g^(d i + j), then at a = 0
+    shift = np.arange(r, dtype=np.int64) * ((k - N) * pow(N // d, -1, r)) % r
+    cmap = np.append((shift[:, None] + 3 * r * np.arange(d)).ravel(), 3 * r * d)
+    return cmap, np.concatenate([table, table, table], axis=1).ravel()
 
 
-def count_projective_fast(
-    spec: FiberSpec, workers: int = 1, budget: int = DEFAULT_BUDGET
-) -> FiberCount:
-    """Stratified exact count over any GF(p^m); must agree with the naive counter.
-
-    Zero stratum: any vanishing coordinate kills the monomial, so those
-    points satisfy the diagonal equation and are counted on cyclotomic
-    classes (`_zero_stratum`).  Torus stratum: normalize the last coordinate
-    to 1, run over the logs l_i of the N-2 middle coordinates y_i, and read
-    off the number of first coordinates x from
-    M[c][a] = #{x != 0 : x^N - c x = a} at c = N t prod y_i, a = -(1 + sum y_i^N),
-    one lookup in the line of `_m_line` at the column map of a plus a row
-    term -N log c mod q-1, split into one part per outer and per inner tuple.
-    The d = gcd(N, q-1) roots of unity z in mu_d quotient the sweep: y -> z y
-    keeps y^N and multiplies c by z, which leaves the row term unchanged.
-    So each l_i runs over 0..r-1 only, r = (q-1)/d, and the torus sum is
-    multiplied by d^(N-2).  A term depends only on sum l_i and
-    sum y_i^N, so the sweep runs over multisets of logs, as non-decreasing
-    tuples weighted by their multinomials (N-2)!/prod c_v!, where c_v counts
-    the log v.  The last middle coordinates form a fixed grid of sorted
-    tuples swept by vector passes, and a short Python loop runs over sorted
-    tuples of the others: each outer tuple extends the suffix of the grid
-    whose first log is at least its last one.
-    """
-    if not spec.weight.classical:
-        raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
-    if spec.N < 2:
-        raise CapabilityError("the stratified counter requires N >= 2")
+def _count_fast(spec: FiberSpec, k: int, workers: int) -> int:
+    """The projective count of `count_projective_fast`, resolving k torus coordinates from `_torus_table`."""
     field = spec.field
     q, N = field.q, spec.N
-    required = _fast_work(q, N)
-    if required > budget:
-        raise BudgetError(required, budget, what=f"stratified count over GF({q})")
     n = q - 1
     d = gcd(N, n)
     r = n // d
-    # the sweep's weights, and its int64 dot products, stay below N r^(N-2)
-    if N * r ** (N - 2) >= 1 << 63:
-        raise CapabilityError(f"the sweep's weights at N = {N} over GF({q}) exceed 64-bit integers")
-
-    started = time.perf_counter()
     log, zech = field.log_tables()
     ct = field.mul(N % field.p, spec.t)
-    # rows are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
+    # row terms are logs of c = ct * prod y_i mod r; when t = 0 the only row is c = 0
     rows = 1 if ct == 0 else r
-    amap, line = _m_line(field, N, ct == 0)
-
     h = int(log[field.neg(1)])
-    # each log l_i < r stands for its d representatives l_i + k r, which share y^N
+    # each log l_i < r stands for its d representatives l_i + j r, which share y^N
     powers = N * np.arange(r, dtype=np.int64) % n
 
-    def grid(k: int, l0: int, s0: int):
-        """Non-decreasing k-tuples of logs in [0, r), in lexicographic order.
+    def negated(s: np.ndarray) -> np.ndarray:
+        return np.where(s == n, n, (s + h) % n)
 
-        Returns (l0 + sum l_i) mod rows, the log of -(s0 + sum y_i^N), the
-        first log and how often it occurs, the last log and how often it
-        occurs, and the multinomial k!/prod c_v!, where c_v counts the log v.
-        The empty tuple has first and last log 0, each occurring 0 times.
-        """
-        l = np.array([l0 % rows], dtype=np.int64)
-        s = np.array([s0], dtype=np.int64)
-        first = last = lead = trail = np.zeros(1, dtype=np.int64)
-        mult = np.ones(1, dtype=np.int64)
-        for i in range(k):
-            # each tuple ending in log a is extended by a, a+1, ..., r-1
-            ext = r - last
-            parent = np.repeat(np.arange(len(l)), ext)
-            v = np.arange(len(parent)) - np.repeat(np.cumsum(ext) - ext - last, ext)
-            trail = np.where(v == last[parent], trail[parent] + 1, 1)
-            first = first[parent] if i else v
-            lead = lead[parent] + (v == first)
-            mult = mult[parent] * (i + 1) // trail
-            last = v
-            l = (l[parent] + v) % rows
-            s = _log_add(s[parent], powers[v], zech, n)
-        return l, np.where(s == n, n, (s + h) % n), first, lead, last, trail, mult
-
-    middle = N - 2
+    middle = max(N - 1 - k, 0)
     inner = _grid_split(r, middle)
     outer = middle - inner
-    lin, neg_sin, first, lead, _, _, m_in = grid(inner, 0, n)
-    # the row term -N log c of the line, one part per inner and per outer
-    # tuple; both are 0 when t = 0, as rows = 1
-    base = -N * lin % n
+    # the table reads the inner grid when k = inner, and its own grid, freed
+    # here, otherwise
+    inner_tuples = _sorted_tuples(inner, r, powers, zech, n)
+    table_tuples = inner_tuples if k == inner else _sorted_tuples(k, r, powers, zech, n)
+    cmap, line = _torus_table(field, N, k, ct == 0, table_tuples)
+    lin, sin, first, lead, _, _, m_in = inner_tuples
+    del table_tuples, inner_tuples
+    neg_sin = negated(sin)
+    # the row term log c of the table, one part per inner and per outer tuple
+    base = lin % rows
     size = len(base)
     # Inner tuples whose first log is at least v form the suffix from
     # suffix[v], in segments of a = inner, inner-1, ..., 1 leading copies
@@ -896,20 +893,22 @@ def count_projective_fast(
     suffix = np.searchsorted(first, np.arange(r))
     bounds = np.array([suffix + np.bincount(first[lead >= a], minlength=r)
                        for a in range(inner, 0, -1)] + [np.full(r, size)])
-    del lin, first, lead
+    del lin, sin, first, lead
 
-    lout, neg_uout, _, _, top, run, m_out = grid(outer, int(log[ct]) if ct else 0, 0)
-    rout = -N * lout % n
+    lout, sout, _, _, top, run, m_out = _sorted_tuples(outer, r, powers, zech, n)
+    rout = ((int(log[ct]) if ct else 0) + lout) % rows
+    # the outer sums carry x_N = 1
+    neg_uout = negated(_log_add(sout, 0, zech, n))
     start = suffix[top]
-    # A multiset weighs its multinomial (N-2)!/prod c_v!.  That of an outer
-    # tuple O followed by an inner tuple I is C(N-2, inner) m(O) m(I) when
+    # A multiset weighs its multinomial middle!/prod c_v!.  That of an outer
+    # tuple O followed by an inner tuple I is C(middle, inner) m(O) m(I) when
     # they share no log, and that divided by C(a + c, c) when I begins with
     # a copies of the log that ends O c times.
     weight = [comb(middle, inner) * m for m in m_out.tolist()]
     divisors = [[comb(a + c, c) for a in range(inner, -1, -1)] for c in range(outer + 1)]
     zech2 = _zech2(zech, n)
     # log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu, mapped into the line
-    line_fold = amap[_fold(n)]
+    line_fold = cmap[_fold(n)]
 
     def sweep(begin: int, end: int) -> int:
         cols = np.empty(q, dtype=np.int64)
@@ -923,16 +922,16 @@ def count_projective_fast(
             # line position of a = -(u + s) = (-u) + (-s) for each inner tuple,
             # read from its log, plus the outer row term
             if nu == n:
-                np.add(amap, ro, out=cols)
+                np.add(cmap, ro, out=cols)
             else:
                 np.take(line_fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
-                cols[n] = amap[nu]
+                cols[n] = cmap[nu]
                 cols += ro
-            k = size - s
-            np.take(cols, neg_sin[s:], out=idx[:k])
-            idx[:k] += base[s:]
-            np.take(line, idx[:k], out=vals[:k])
-            # int64 dot products, each at most N sum m(I) <= N r^inner
+            span = size - s
+            np.take(cols, neg_sin[s:], out=idx[:span])
+            idx[:span] += base[s:]
+            np.take(line, idx[:span], out=vals[:span])
+            # int64 dot products, each at most N r^(k-1) sum m(I) <= N r^(k-1+inner)
             a = s
             for b, divisor in zip(ends, divisors[c]):
                 if b > a:
@@ -942,7 +941,55 @@ def count_projective_fast(
 
     # the first outer tuples carry the longest suffixes: split by work, not by count
     torus = _split_sum(sweep, size - start + q, workers)
-    total = _zero_stratum(field, N) + d ** (N - 2) * torus
+    # the Y lifts give d^(N-1-k), and the R lifts d^(k-1) over the d columns
+    # c mu_d, or d^k when c = 0
+    return _zero_stratum(field, N) + d ** (N - 2 if ct else N - 1) * torus
+
+
+def count_projective_fast(
+    spec: FiberSpec, workers: int = 1, budget: int = DEFAULT_BUDGET
+) -> FiberCount:
+    """Stratified exact count over any GF(p^m); must agree with the naive counter.
+
+    Zero stratum: any vanishing coordinate kills the monomial, so those
+    points satisfy the diagonal equation and are counted on cyclotomic
+    classes (`_zero_stratum`).  Torus stratum: normalize the last coordinate
+    to 1 and split the other N-1 into k coordinates R, resolved by a table,
+    and N-1-k middle coordinates y_i with logs l_i, swept.  The number of R
+    is M_k[c][a] = #{R : sum R_i^N - c prod R_i = a} at c = N t prod y_i,
+    a = -(1 + sum y_i^N), one lookup in the line of `_torus_table` at the
+    column map of a plus a row term log c mod r, split into one part per
+    outer and per inner tuple.  The d = gcd(N, q-1) roots of unity z in mu_d
+    quotient the sweep: y -> z y keeps y^N and multiplies c by z, which
+    leaves the row term unchanged.  So each l_i runs over 0..r-1 only,
+    r = (q-1)/d.  A term depends only on sum l_i and sum y_i^N, so the
+    sweep runs over multisets of logs, as non-decreasing tuples weighted by
+    their multinomials (N-1-k)!/prod c_v!, where c_v counts the log v.  The
+    last middle coordinates form a fixed grid of sorted tuples swept by
+    vector passes, and a short Python loop runs over sorted tuples of the
+    others: each outer tuple extends the suffix of the grid whose first log
+    is at least its last one.  k is the one of least estimated work
+    (`_fast_plan`), which weighs the table's d + 1 rows over C(r+k-1, k)
+    sorted k-tuples against the sweep's C(r+N-2-k, N-1-k) multisets.
+    """
+    if not spec.weight.classical:
+        raise CapabilityError("the stratified counter requires the classical weight (1,...,1)")
+    if spec.N < 2:
+        raise CapabilityError("the stratified counter requires N >= 2")
+    field = spec.field
+    q, N = field.q, spec.N
+    required, k = _fast_plan(q, N)
+    if required > budget:
+        raise BudgetError(required, budget, what=f"stratified count over GF({q})")
+    r = (q - 1) // gcd(N, q - 1)
+    # table entries are at most N r^(k-1) (`_torus_table`), so a dot product
+    # over inner tuples, whose multinomials sum to r^inner, stays below
+    # N r^(N-2); so do the multinomials of every grid and their products
+    if N * r ** (N - 2) >= _INT64:
+        raise CapabilityError(f"the sweep's weights at N = {N} over GF({q}) exceed 64-bit integers")
+
+    started = time.perf_counter()
+    total = _count_fast(spec, k, workers)
     trace = middle_trace(total, q, N)
     return FiberCount(spec, total, trace, "fast", time.perf_counter() - started)
 

@@ -132,7 +132,9 @@ class TestHodge:
         monkeypatch.setattr(cli, "class_of", no_class)
         code, out, err = run(["hodge", "--N", "14"], capsys)
         assert code == 4 and out == ""
-        assert "needs 20058300 rows" in err
+        # what is refused is the filter over sorted tuples, not a class enumeration
+        assert "the classical table's filter over sorted 14-tuples needs 20058300 rows" in err
+        assert "class enumeration" not in err
 
     def test_nonzero_sum_vector_exits_2(self, capsys):
         code, _, err = run(["hodge", "--N", "5", "--v", "0,0,1,1,1"], capsys)
@@ -440,6 +442,28 @@ class TestCount:
         )
         assert proc.returncode == 4, proc.stderr
         assert "budget" in proc.stderr
+
+    def test_octic_at_211_counts_under_memory_cap(self):
+        # refused by the budget while one coordinate came from the table
+        # (3.3e9 candidates); k = 3 of them now, under a 1 GiB address-space
+        # cap.  The trace is the Hasse-Witt residue mod p
+        from test_counting import _hasse_witt_mod_p
+
+        resource = pytest.importorskip("resource")
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from dworklab.cli import main; "
+             "sys.exit(main(['count', '--N', '8', '--p', '211', '--t', '2', '--strategy', 'fast']))"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+                 "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert proc.returncode == 0, proc.stderr
+        fiber = json.loads(proc.stdout)["payload"]["fibers"][0]
+        assert fiber["projective_count"] == 88_666_463_738_208
+        assert fiber["trace"] % 211 == _hasse_witt_mod_p(211, 8, 2) == 17
+        assert fiber["weil_bound_ok"] == 1 and fiber["lefschetz_identity_ok"] == 1
 
     def test_prime_past_two_pow_20(self, capsys):
         # x^2 + y^2 = 4xy has 1 + (3 | p) points: the naive count builds its

@@ -248,6 +248,32 @@ class TestFieldMake:
             f = tail + (1,)
             assert counting._is_irreducible(f, p) == (not _has_factor(list(f), p)), (p, f)
 
+    def test_scan_skips_tails_divisible_by_x(self, monkeypatch):
+        # x divides every tail with c_0 = 0, so for m > 1 the scan starts at c_0 = 1
+        seen = []
+        irreducible = counting._is_irreducible
+
+        def spy(coeffs, p):
+            seen.append(coeffs)
+            return irreducible(coeffs, p)
+
+        monkeypatch.setattr(counting, "_is_irreducible", spy)
+        for p, m in [(2, 2), (2, 5), (2, 10), (3, 3), (3, 6), (5, 2), (5, 4), (7, 3), (31, 2)]:
+            seen.clear()
+            field_make.__wrapped__(p, m)
+            assert seen and all(coeffs[0] != 0 for coeffs in seen), (p, m)
+        assert field_make.__wrapped__(5, 1).modulus == (0, 1)
+
+    def test_modulus_equals_full_scan(self):
+        # the first irreducible of the scan over every tail from c_0 = 0, for
+        # every field with q <= 2^10
+        fields = [(p, m) for p in range(2, 1025) if is_prime(p)
+                  for m in range(1, 11) if p ** m <= 1 << 10]
+        for p, m in fields:
+            tails = (tuple(i // p ** (m - 1 - j) % p for j in range(m)) + (1,) for i in range(p ** m))
+            expected = next(f for f in tails if counting._is_irreducible(f, p))
+            assert field_make(p, m).modulus == expected, (p, m)
+
     def test_large_extension_refused_before_modulus_search(self, monkeypatch):
         calls = []
 
@@ -520,16 +546,18 @@ class TestFastCounter:
             count_projective_naive(spec).projective_count
 
     def test_budget_counts_the_m_table(self):
-        # N = 3 over F_101: the estimate is the r = 100 multisets, one column
-        # table of q entries, the M line's e = gcd(2, 100) = 2 rows of q Zech
-        # logs and q for the zero stratum, far below q^2; one below it is
-        # refused with the same estimate, and a count at it equals naive
+        # N = 3 over F_101, d = 1 and r = 100: k = 1, whose table has d + 1 = 2
+        # rows over the r logs; the sweep's r multisets, one column table of q
+        # entries, and q for the zero stratum, far below q^2 (k = 2 would
+        # build its 2 rows over C(101, 2) pairs); one below it is refused with
+        # the same estimate, and a count at it equals naive
         q = 101
         spec = FiberSpec(3, classical_weight(3), 2, field_make(q, 1))
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=100)
         required = err.value.required
-        assert required == 100 + q + 2 * q + q < q ** 2
+        assert counting._fast_plan(q, 3) == (required, 1)
+        assert required == 2 * 100 + 100 + q + q < q ** 2
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=required - 1)
         assert err.value.required == required
@@ -640,14 +668,16 @@ class TestFastQuotient:
         _assert_fast_equals_naive(field_make(p, m), n, workers)
 
     def test_budget_counts_the_quotient(self):
-        # gcd(3, 30) = 3: r = 10 multisets, and the M line's e = gcd(2, 30) = 2
-        # rows of Zech logs; the estimate stays below the r q entries of M's rows
+        # gcd(3, 30) = 3: r = 10 multisets, and k = 1, whose table has
+        # d + 1 = 4 rows of r entries; the estimate stays below the r q
+        # entries of M's rows
         q = 31
         spec = FiberSpec(3, classical_weight(3), 2, field_make(q, 1))
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=100)
         required = err.value.required
-        assert required == 10 + q + 2 * q + q < 10 * q
+        assert counting._fast_plan(q, 3) == (required, 1)
+        assert required == 4 * 10 + 10 + q + q < 10 * q
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=required - 1)
         assert err.value.required == required
@@ -655,45 +685,59 @@ class TestFastQuotient:
             count_projective_naive(spec).projective_count
 
     def test_budget_counts_multisets(self):
-        # r = 12: the sweep visits C(14, 3) = 364 multisets of three logs, not 12^3 tuples
-        spec = FiberSpec(5, W5, 2, field_make(13, 1))
+        # r = 12 and d = 1: k = 2 resolves two coordinates from 2 table rows
+        # over the C(13, 2) = 78 sorted pairs, and the sweep visits the 78
+        # multisets of the other two logs, not C(14, 3) = 364 multisets of
+        # three (k = 1) or 12^3 tuples
+        q = 13
+        spec = FiberSpec(5, W5, 2, field_make(q, 1))
         with pytest.raises(BudgetError) as err:
             count_projective_fast(spec, budget=100)
-        assert comb(14, 3) < err.value.required < 12 ** 3
-        assert count_projective_fast(spec, budget=err.value.required).projective_count == \
+        required = err.value.required
+        assert counting._fast_plan(q, 5) == (required, 2)
+        assert required == 2 * 78 + 78 + q + q < comb(14, 3) < 12 ** 3
+        with pytest.raises(BudgetError) as err:
+            count_projective_fast(spec, budget=required - 1)
+        assert err.value.required == required
+        assert count_projective_fast(spec, budget=required).projective_count == \
             count_projective_naive(spec).projective_count
 
-    # e = gcd(N-1, q-1) is 2, 1, 1, 3, 2, 4, 4, 6, 6 and 1; d = gcd(N, q-1) is
-    # 3, 6, 5, 4, 1, 1, 5, 1, 7 and 7
+    # d = gcd(N, q-1) is 3, 6, 5, 4, 1, 1, 5, 1, 7 and 7
     @pytest.mark.parametrize("p,m,n", [
         (7, 1, 3), (13, 1, 6), (2, 4, 5), (5, 2, 4), (11, 1, 3),
         (13, 1, 5), (3, 4, 5), (13, 1, 7), (43, 1, 7), (2, 3, 7),
     ])
     def test_m_table_rows_repeat(self, p, m, n):
-        # M[c][a] read from the line as the sweep reads it, for every pair
-        # (c, a) in F_q x F_q, against a direct count of x^N - c x = a: the row
-        # term of c = g^k is that of k mod r, r = (q-1)/d, added in the two
-        # parts -N lo and -N li mod q-1 for every lo + li = k mod r
+        # M_k[c][a] read from the table as the sweep reads it, at k = 1 and 2,
+        # for every pair (c, a) in F_q x F_q, against a direct count of the
+        # k-tuples R with sum R_i^N - c prod R_i = a: c = g^gamma is read at
+        # the row term gamma mod r, r = (q-1)/d, added in the two parts lo and
+        # li below r for every lo + li = gamma mod r, and an entry is M_k
+        # over d^(k-1), or over d^k in the c = 0 table
         field = field_make(p, m)
         q, nq = field.q, field.q - 1
-        r = nq // gcd(n, nq)
-        log, _ = field.log_tables()
+        d = gcd(n, nq)
+        r = nq // d
+        log, zech = field.log_tables()
         g = field.generator()
-        amap, line = counting._m_line(field, n, False)
-        for k in range(nq):
-            c = field.pow(g, k)
-            row = [0] * q
-            for x in range(1, q):
-                row[field.sub(field.pow(x, n), field.mul(c, x))] += 1
-            for li in range(r):
-                lo = (k - li) % r
-                assert line[amap[log] + -n * lo % nq + -n * li % nq].tolist() == row, (k, li)
-        # the c = 0 row, read at the log of a
-        amap, line = counting._m_line(field, n, True)
-        row = [0] * q
-        for x in range(1, q):
-            row[field.pow(x, n)] += 1
-        assert line[amap[log]].tolist() == row
+        # scalar sums, products and differences, and every R's power sum and product
+        add, mul, sub = (np.array([[op(a, b) for b in range(q)] for a in range(q)])
+                         for op in (field.add, field.mul, field.sub))
+        powers = [field.pow(x, n) for x in range(1, q)]
+        sums, prods = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+        for k in (1, 2):
+            sums = add[sums[:, None], powers].ravel()
+            prods = mul[prods[:, None], np.arange(1, q)].ravel()
+            tuples = counting._sorted_tuples(k, r, n * np.arange(r) % nq, zech, nq)
+            cmap, line = counting._torus_table(field, n, k, False, tuples)
+            for gamma in range(nq):
+                row = np.bincount(sub[sums, mul[field.pow(g, gamma), prods]], minlength=q)
+                for li in range(r):
+                    lo = (gamma - li) % r
+                    assert (d ** (k - 1) * line[cmap[log] + lo + li] == row).all(), (k, gamma, li)
+            # the c = 0 table, read at the log of a
+            cmap, line = counting._torus_table(field, n, k, True, tuples)
+            assert (d ** k * line[cmap[log]] == np.bincount(sums, minlength=q)).all(), k
 
 
 # (p, m, N) with r = (q-1)/gcd(N, q-1) between 2 and 8, so that a grid of
@@ -769,6 +813,82 @@ class TestSortedSweep:
         spec = FiberSpec(84, classical_weight(84), 0, field_make(13, 2))
         with pytest.raises(CapabilityError):
             count_projective_fast(spec)
+
+    def test_weights_at_the_int64_limit(self, monkeypatch):
+        # N r^(N-2) bounds every table entry times the inner multinomials it
+        # meets.  Over F_5 with N = 2 mod 4, d = 2 and r = 2: N = 58 is below
+        # 2^63 and counts, its trace the Hasse-Witt residue; N = 62 is past it
+        field = field_make(5, 1)
+        assert 58 * 2 ** 56 < 1 << 63 <= 62 * 2 ** 60
+        fc = count_projective_fast(FiberSpec(58, classical_weight(58), 2, field))
+        assert fc.trace % 5 == _hasse_witt_mod_p(5, 58, 2) and weil_bound_ok(fc.trace, 5, 58)
+        with pytest.raises(CapabilityError, match="64-bit"):
+            count_projective_fast(FiberSpec(62, classical_weight(62), 2, field))
+        # a limit moved down to N r^(N-2) = 5 * 2^3 over F_11 refuses, one past it counts
+        spec = FiberSpec(5, W5, 2, field_make(11, 1))
+        monkeypatch.setattr(counting, "_INT64", 5 * 2 ** 3)
+        with pytest.raises(CapabilityError, match="64-bit"):
+            count_projective_fast(spec)
+        monkeypatch.setattr(counting, "_INT64", 5 * 2 ** 3 + 1)
+        assert count_projective_fast(spec).projective_count == \
+            count_projective_naive(spec).projective_count
+
+
+def _admissible_ks(q, n):
+    """k = 1..N-1 with r^k within the grid cap, r = (q-1)/gcd(N, q-1); k = 1 always."""
+    r = (q - 1) // gcd(n, q - 1)
+    return [k for k in range(1, n) if k == 1 or r ** k <= counting._GRID_MAX]
+
+
+def _plan_work(q, n, k):
+    """The work estimate of resolving k coordinates: table rows, sweep, column tables, zero stratum."""
+    d = gcd(n, q - 1)
+    r = (q - 1) // d
+    middle = n - 1 - k
+    outer = middle - counting._grid_split(r, middle)
+    return (d + 1) * comb(r + k - 1, k) + comb(r + middle - 1, middle) \
+        + comb(r + outer - 1, outer) * q + q
+
+
+class TestTableSplit:
+    """k torus coordinates read from one table and N-1-k swept, at every k the plan admits."""
+
+    @pytest.mark.parametrize("p,m,n", sorted(set(EXTENSION_CASES + QUOTIENT_CASES + TIE_CASES)))
+    def test_every_k_equals_naive(self, monkeypatch, p, m, n):
+        # every smooth t, t = 0 included, with the sweep's grid forced down to
+        # 1 and 4 entries so that its outer loop runs, on one and two workers
+        field = field_make(p, m)
+        weight = classical_weight(n)
+        naive = {t: count_projective_naive(FiberSpec(n, weight, t, field)).projective_count
+                 for t in _smooth_params(field, weight)}
+        assert 0 in naive
+        ks = _admissible_ks(field.q, n)
+        for grid in (1, 4):
+            monkeypatch.setattr(counting, "_GRID_MIN", grid)
+            monkeypatch.setattr(counting, "_GRID_MAX", grid)
+            for workers in (1, 2):
+                for k in ks:
+                    for t, count in naive.items():
+                        spec = FiberSpec(n, weight, t, field)
+                        assert counting._count_fast(spec, k, workers) == count, (grid, workers, k, t)
+
+    @pytest.mark.parametrize("q,n,k", [(101, 3, 1), (31, 3, 1), (13, 5, 2), (103, 5, 2), (101, 5, 2),
+                                       (13, 7, 3), (101, 7, 3), (5, 58, 21)])
+    def test_counts_with_the_planned_k(self, monkeypatch, q, n, k):
+        # the k that runs is the one of least estimate, and the budget check
+        # quotes that k's estimate
+        ran = []
+        count_fast = counting._count_fast
+
+        def spy(spec, k, workers):
+            ran.append(k)
+            return count_fast(spec, k, workers)
+
+        monkeypatch.setattr(counting, "_count_fast", spy)
+        work = counting._fast_work(q, n)
+        assert work == _plan_work(q, n, k) == min(_plan_work(q, n, j) for j in _admissible_ks(q, n))
+        count_projective_fast(FiberSpec(n, classical_weight(n), 2, field_make(q, 1)), budget=work)
+        assert ran == [k]
 
 
 def _zero_stratum_reference(field, n):
@@ -863,7 +983,7 @@ def _hasse_witt_mod_p(p, n, t):
 
 
 class TestFastMemory:
-    """The M line has O(q) entries, so cubics near q = 2^15 count under a 1 GiB cap."""
+    """The torus table has (d+1) r <= 2q entries, so cubics near q = 2^15 count under a 1 GiB cap."""
 
     def test_mod_p_oracle_equals_exact(self):
         for p in (2, 5, 7, 11, 13):
