@@ -21,10 +21,12 @@ and the point count determines the middle trace exactly, for every N
 Two counters are provided and must agree.  Both read the same field
 tables: logs over a generator, with Zech logs for addition
 (`FiniteField.log_tables`), each of size q.  A prime field computes its
-scalars on plain integers; an extension field computes in logs, and builds
-its modulus, generator and tables on F_p matrices (the companion matrix of
-the modulus and its powers).  A test checks the tables on every pair of
-elements against schoolbook polynomial arithmetic.
+scalars and builds its tables on plain integers; an extension field
+computes in logs, and builds its modulus, generator and tables on F_p
+matrices (the companion matrix of the modulus and its powers), testing
+candidate moduli and generators a block at a time in one matrix stack.  A
+test checks the tables on every pair of elements against schoolbook
+polynomial arithmetic.
 
 * ``count_projective_naive`` walks every normalized projective point (first
   nonzero coordinate scaled to 1) and evaluates the equation in logs, one
@@ -92,7 +94,7 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000_000  # evaluated candidates per invocation
 _MAX_TABLE_Q = 1 << 22  # exp/log tables refuse beyond this
 _BUILD_BLOCK = 1 << 16  # exp entries computed per vector step
-_GEN_BLOCK = 8  # generator candidates tested per matrix stack
+_GEN_BLOCK = 8  # candidate moduli or generators tested per matrix stack
 
 
 class SmoothnessError(ValueError):
@@ -168,16 +170,19 @@ def _check_table_q(q: int) -> None:
 # An element h of F_p[x]/f is the row vector of its digits, low degree first,
 # and multiplication by h is the matrix M(h) whose row j holds the digits of
 # x^j h.  M(x) is the companion matrix C of f, and M(h) = sum_j h_j C^j.
-# In a prime field M(h) is the 1 x 1 matrix [h].  Entries stay below p, so
+# Only extension fields use them.  Entries stay below p, so
 # the sums in a product stay below m p^2, which q = p^m <= _MAX_TABLE_Q keeps
 # far below 2^63.
 
 
-def _companion(coeffs: tuple[int, ...], p: int) -> np.ndarray:
-    """C = M(x) for the monic f with these coefficients: row j holds the digits of x^(j+1) mod f."""
-    m = len(coeffs) - 1
-    c = np.eye(m, k=1, dtype=np.int64)
-    c[-1] = [-a % p for a in coeffs[:m]]
+def _companion(tails: np.ndarray, p: int) -> np.ndarray:
+    """C = M(x) for each monic f = x^m + ... + c_0 with tail (c_0, ..., c_(m-1)) on the last axis.
+
+    Row j of C holds the digits of x^(j+1) mod f.
+    """
+    m = tails.shape[-1]
+    c = np.broadcast_to(np.eye(m, k=1, dtype=np.int64), tails.shape + (m,)).copy()
+    c[..., -1, :] = -tails % p
     return c
 
 
@@ -193,28 +198,31 @@ def _mat_pow(a: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Rabin's test on the companion matrix C of f: C^(p^m) = C, and C^(p^(m/l)) - C is a unit for primes l | m.
+def _is_irreducible(tails: np.ndarray, p: int) -> np.ndarray:
+    """Rabin's test on a stack of monic f: C^(p^m) = C, and C^(p^(m/l)) - C is a unit for primes l | m.
 
+    Row i of `tails` holds (c_0, ..., c_(m-1)) of f = x^m + ... + c_0, and
+    the mask says which f are irreducible; C is the companion matrix of f.
     C^(p^m) = C says that f divides x^(p^m) - x, so F_p[x]/f is a product of
     fields F_(p^d) with d | m.  In such a ring h is a unit, that is
-    gcd(h, f) = 1, exactly when h^(p^m - 1) = 1.
+    gcd(h, f) = 1, exactly when h^(p^m - 1) = 1.  Every f is tested in the
+    same matrix stack, and the unit condition only where the first holds.
     """
-    m = len(coeffs) - 1
+    m = tails.shape[1]
     if m == 1:
-        return True
-    if coeffs[0] == 0:  # x divides f
-        return False
-    c = _companion(coeffs, p)
+        return np.ones(len(tails), dtype=bool)
+    ok = tails[:, 0] != 0  # x divides f when c_0 = 0
+    c = _companion(tails, p)
     checkpoints = {m // ell for ell in _prime_factors(m)}
     h, diffs = c, []
     for i in range(1, m + 1):
         h = _mat_pow(h, p, p)
         if i in checkpoints:
             diffs.append((h - c) % p)
-    if not np.array_equal(h, c):
-        return False
-    return bool((_mat_pow(np.stack(diffs), p ** m - 1, p) == np.eye(m, dtype=np.int64)).all())
+    ok &= (h == c).all(axis=(1, 2))
+    units = _mat_pow(np.stack(diffs, axis=1)[ok], p ** m - 1, p) == np.eye(m, dtype=np.int64)
+    ok[ok] = units.all(axis=(1, 2, 3))
+    return ok
 
 
 class FiniteField:
@@ -229,9 +237,10 @@ class FiniteField:
     other field computation goes through one representation: logs over the
     generator, with Zech logs for addition (`log_tables`).  Both counters
     read these arrays; extension fields build them on construction, prime
-    fields on first use.  F_p matrices, the matrices M(h) of multiplication
-    by h, appear only inside construction: in the modulus test and the
-    generator search of an extension field, and in every table build.
+    fields on first use, by integer doubling.  F_p matrices, the matrices
+    M(h) of multiplication by h, appear only inside the construction of an
+    extension field: in the modulus test, the generator search and the
+    table build.
     """
 
     __slots__ = ("p", "m", "q", "modulus", "_exp", "_log", "_zech", "_generator")
@@ -250,7 +259,7 @@ class FiniteField:
     def _matrices(self, codes: np.ndarray) -> np.ndarray:
         """The stack of M(h) for the codes h (see `_companion`)."""
         p, m = self.p, self.m
-        c = _companion(self.modulus, p)
+        c = _companion(np.array(self.modulus[:m]), p)
         powers = [np.eye(m, dtype=np.int64)]
         for _ in range(1, m):
             powers.append(powers[-1] @ c % p)
@@ -266,25 +275,35 @@ class FiniteField:
     def _build_tables(self):
         """exp, log and Zech-log arrays of size q over the generator g.
 
-        Multiplication by g^k is the F_p matrix M(g^k), which has the digits
-        of x^j g^k in row j.  So exp doubles: g^(k+i) is exp[i] times
-        M(g^k) for i < k, and M(g^2k) = M(g^k)^2, about log2(q) vector steps
-        in all.  exp[q-1] = 0 is the antilog of the log of 0.
+        exp doubles: g^(k+i) is exp[i] times g^k for i < k, and g^2k is
+        (g^k)^2, about log2(q) vector steps in all.  A prime field multiplies
+        integers mod p.  In an extension field multiplication by g^k is the
+        F_p matrix M(g^k), which has the digits of x^j g^k in row j.
+        exp[q-1] = 0 is the antilog of the log of 0.
         """
         q, p, m = self.q, self.p, self.m
         _check_table_q(q)
         n = q - 1
-        place = p ** np.arange(m, dtype=np.int64)
-        step = self._matrices(np.array([self.generator()]))[0]
         exp = np.zeros(q, dtype=np.int64)
         exp[0] = 1
+        if m == 1:
+            # products stay below p^2 <= 2^44
+            step = self.generator()
+        else:
+            place = p ** np.arange(m, dtype=np.int64)
+            step = self._matrices(np.array([self.generator()]))[0]
         k = 1
         while k < n:
-            for a in range(k, min(2 * k, n), _BUILD_BLOCK):
-                b = min(a + _BUILD_BLOCK, 2 * k, n)
-                digits = exp[a - k : b - k, None] // place % p
-                exp[a:b] = ((digits @ step) % p) @ place
-            step = (step @ step) % p
+            if m == 1:
+                b = min(2 * k, n)
+                exp[k:b] = exp[: b - k] * step % p
+                step = step * step % p
+            else:
+                for a in range(k, min(2 * k, n), _BUILD_BLOCK):
+                    b = min(a + _BUILD_BLOCK, 2 * k, n)
+                    digits = exp[a - k : b - k, None] // place % p
+                    exp[a:b] = ((digits @ step) % p) @ place
+                step = (step @ step) % p
             k *= 2
         # exp must hit every nonzero code exactly once
         if not np.array_equal(np.bincount(exp[:n], minlength=q), np.arange(q) > 0):
@@ -429,22 +448,27 @@ def field_make(p: int, m: int) -> FiniteField:
     Candidate moduli x^m + c_{m-1} x^{m-1} + ... + c_0 are scanned in
     lexicographic order of (c_0, ..., c_{m-1}) with each coefficient a
     canonical lift; the first irreducible wins, so the construction is
-    reproducible.  m = 1 yields the prime field (modulus x).
+    reproducible.  The scan tests `_GEN_BLOCK` candidates at a time, in one
+    matrix stack (`_is_irreducible`).  m = 1 yields the prime field
+    (modulus x).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"degree must be >= 1, got {m}")
-    if m > 1:
-        # refused before the modulus search, which alone would take seconds
-        _check_table_q(p ** m)
-    # tails generated one at a time, c_0 the most significant base-p digit of
-    # i: itertools.product would first copy range(p), p entries.  For m > 1
+    if m == 1:
+        return FiniteField(p, 1, (0, 1))
+    q = p ** m
+    # refused before the modulus search, which alone would take seconds
+    _check_table_q(q)
+    # the tail of candidate i has c_0 as its most significant base-p digit;
     # the scan starts at c_0 = 1, as x divides every tail with c_0 = 0
-    for i in range(p ** (m - 1) if m > 1 else 0, p ** m):
-        coeffs = tuple(i // p ** (m - 1 - j) % p for j in range(m)) + (1,)
-        if _is_irreducible(coeffs, p):
-            return FiniteField(p, m, coeffs)
+    place = p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    for start in range(q // p, q, _GEN_BLOCK):
+        tails = np.arange(start, min(start + _GEN_BLOCK, q), dtype=np.int64)[:, None] // place % p
+        ok = _is_irreducible(tails, p)
+        if ok.any():
+            return FiniteField(p, m, tuple(tails[ok.argmax()].tolist()) + (1,))
     raise RuntimeError("no irreducible polynomial found")  # unreachable
 
 
@@ -855,7 +879,14 @@ def _torus_table(field: FiniteField, N: int, k: int, c_zero: bool, tuples: tuple
 
 
 def _count_fast(spec: FiberSpec, k: int, workers: int) -> int:
-    """The projective count of `count_projective_fast`, resolving k torus coordinates from `_torus_table`."""
+    """The projective count of `count_projective_fast`, resolving k torus coordinates from `_torus_table`.
+
+    With no middle coordinate outside the grid the torus sum is one gather
+    from the line and one dot product with the multinomials; otherwise a
+    loop over the sorted outer tuples reads the suffix of the grid each one
+    extends, over `workers` threads.  Both share the grid, the table, the
+    row term and the lift factor.
+    """
     field = spec.field
     q, N = field.q, spec.N
     n = q - 1
@@ -883,64 +914,72 @@ def _count_fast(spec: FiberSpec, k: int, workers: int) -> int:
     lin, sin, first, lead, _, _, m_in = inner_tuples
     del table_tuples, inner_tuples
     neg_sin = negated(sin)
-    # the row term log c of the table, one part per inner and per outer tuple
+    # the row term log c of the table: log(N t), and one part per inner and
+    # one per outer tuple
+    row = int(log[ct]) % rows if ct else 0
     base = lin % rows
-    size = len(base)
-    # Inner tuples whose first log is at least v form the suffix from
-    # suffix[v], in segments of a = inner, inner-1, ..., 1 leading copies
-    # of v and then a = 0, the rest; the segment of a copies ends at
-    # bounds[inner - a][v].
-    suffix = np.searchsorted(first, np.arange(r))
-    bounds = np.array([suffix + np.bincount(first[lead >= a], minlength=r)
-                       for a in range(inner, 0, -1)] + [np.full(r, size)])
-    del lin, sin, first, lead
+    if not outer:
+        # every middle coordinate is in the grid: a = (-1) + (-s) for the
+        # power sum s of each inner tuple, one read of the line each
+        cols = cmap[_log_add(neg_sin, h, zech, n)]
+        torus = int(np.dot(line[cols + base + row], m_in))
+    else:
+        size = len(base)
+        # Inner tuples whose first log is at least v form the suffix from
+        # suffix[v], in segments of a = inner, inner-1, ..., 1 leading copies
+        # of v and then a = 0, the rest; the segment of a copies ends at
+        # bounds[inner - a][v].
+        suffix = np.searchsorted(first, np.arange(r))
+        bounds = np.array([suffix + np.bincount(first[lead >= a], minlength=r)
+                           for a in range(inner, 0, -1)] + [np.full(r, size)])
+        del lin, sin, first, lead
 
-    lout, sout, _, _, top, run, m_out = _sorted_tuples(outer, r, powers, zech, n)
-    rout = ((int(log[ct]) if ct else 0) + lout) % rows
-    # the outer sums carry x_N = 1
-    neg_uout = negated(_log_add(sout, 0, zech, n))
-    start = suffix[top]
-    # A multiset weighs its multinomial middle!/prod c_v!.  That of an outer
-    # tuple O followed by an inner tuple I is C(middle, inner) m(O) m(I) when
-    # they share no log, and that divided by C(a + c, c) when I begins with
-    # a copies of the log that ends O c times.
-    weight = [comb(middle, inner) * m for m in m_out.tolist()]
-    divisors = [[comb(a + c, c) for a in range(inner, -1, -1)] for c in range(outer + 1)]
-    zech2 = _zech2(zech, n)
-    # log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu, mapped into the line
-    line_fold = cmap[_fold(n)]
+        lout, sout, _, _, top, run, m_out = _sorted_tuples(outer, r, powers, zech, n)
+        rout = (row + lout) % rows
+        # the outer sums carry x_N = 1
+        neg_uout = negated(_log_add(sout, 0, zech, n))
+        start = suffix[top]
+        # A multiset weighs its multinomial middle!/prod c_v!.  That of an
+        # outer tuple O followed by an inner tuple I is C(middle, inner) m(O)
+        # m(I) when they share no log, and that divided by C(a + c, c) when I
+        # begins with a copies of the log that ends O c >= 1 times.
+        weight = [comb(middle, inner) * m for m in m_out.tolist()]
+        divisors = [[comb(a + c, c) for a in range(inner, -1, -1)] for c in range(1, outer + 1)]
+        zech2 = _zech2(zech, n)
+        # log(x + g^b) = fold[nu + zech2[b - nu + n]] for x = g^nu, mapped into the line
+        line_fold = cmap[_fold(n)]
 
-    def sweep(begin: int, end: int) -> int:
-        cols = np.empty(q, dtype=np.int64)
-        idx = np.empty(size, dtype=np.int64)
-        vals = np.empty(size, dtype=line.dtype)
-        hits = 0
-        for ro, nu, s, ends, c, w in zip(
-            rout[begin:end].tolist(), neg_uout[begin:end].tolist(), start[begin:end].tolist(),
-            bounds[:, top[begin:end]].T.tolist(), run[begin:end].tolist(), weight[begin:end],
-        ):
-            # line position of a = -(u + s) = (-u) + (-s) for each inner tuple,
-            # read from its log, plus the outer row term
-            if nu == n:
-                np.add(cmap, ro, out=cols)
-            else:
-                np.take(line_fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
-                cols[n] = cmap[nu]
-                cols += ro
-            span = size - s
-            np.take(cols, neg_sin[s:], out=idx[:span])
-            idx[:span] += base[s:]
-            np.take(line, idx[:span], out=vals[:span])
-            # int64 dot products, each at most N r^(k-1) sum m(I) <= N r^(k-1+inner)
-            a = s
-            for b, divisor in zip(ends, divisors[c]):
-                if b > a:
-                    hits += w * int(np.dot(vals[a - s : b - s], m_in[a:b])) // divisor
-                a = b
-        return hits
+        def sweep(begin: int, end: int) -> int:
+            cols = np.empty(q, dtype=np.int64)
+            idx = np.empty(size, dtype=np.int64)
+            vals = np.empty(size, dtype=line.dtype)
+            hits = 0
+            for ro, nu, s, ends, c, w in zip(
+                rout[begin:end].tolist(), neg_uout[begin:end].tolist(), start[begin:end].tolist(),
+                bounds[:, top[begin:end]].T.tolist(), run[begin:end].tolist(), weight[begin:end],
+            ):
+                # line position of a = -(u + s) = (-u) + (-s) for each inner
+                # tuple, read from its log, plus the outer row term
+                if nu == n:
+                    np.add(cmap, ro, out=cols)
+                else:
+                    np.take(line_fold, zech2[n - nu : 2 * n - nu] + nu, out=cols[:n])
+                    cols[n] = cmap[nu]
+                    cols += ro
+                span = size - s
+                np.take(cols, neg_sin[s:], out=idx[:span])
+                idx[:span] += base[s:]
+                np.take(line, idx[:span], out=vals[:span])
+                # int64 dot products, each at most N r^(k-1) sum m(I) <= N r^(k-1+inner)
+                a = s
+                for b, divisor in zip(ends, divisors[c - 1]):
+                    if b > a:
+                        hits += w * int(np.dot(vals[a - s : b - s], m_in[a:b])) // divisor
+                    a = b
+            return hits
 
-    # the first outer tuples carry the longest suffixes: split by work, not by count
-    torus = _split_sum(sweep, size - start + q, workers)
+        # the first outer tuples carry the longest suffixes: split by work, not by count
+        torus = _split_sum(sweep, size - start + q, workers)
     # the Y lifts give d^(N-1-k), and the R lifts d^(k-1) over the d columns
     # c mu_d, or d^k when c = 0
     return _zero_stratum(field, N) + d ** (N - 2 if ct else N - 1) * torus
@@ -968,7 +1007,14 @@ def count_projective_fast(
     last middle coordinates form a fixed grid of sorted tuples swept by
     vector passes, and a short Python loop runs over sorted tuples of the
     others: each outer tuple extends the suffix of the grid whose first log
-    is at least its last one.  k is the one of least estimated work
+    is at least its last one.  When the grid holds every middle coordinate
+    there is no loop and the torus sum is
+
+        sum_I m(I) line[cmap[log a(I)] + (l(I) + log(N t)) mod r]
+
+    over the grid tuples I, with m(I) the multinomial, l(I) the sum of the
+    logs and a(I) = -(1 + sum y_i^N): one gather and one dot product (the
+    row term is 0 when t = 0).  k is the one of least estimated work
     (`_fast_plan`), which weighs the table's d + 1 rows over C(r+k-1, k)
     sorted k-tuples against the sweep's C(r+N-2-k, N-1-k) multisets.
     """

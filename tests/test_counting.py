@@ -243,25 +243,47 @@ class TestFieldMake:
         # every monic f of degree m; in every case but p = 2 with m = 2..5 and 7,
         # some reducible f with f(0) != 0 divide x^(p^m) - x (factor degrees
         # {2, 2} at (3, 4) and {1, 2, 3} at (3, 6), for example) and fail only
-        # the unit condition
-        for tail in product(range(p), repeat=m):
-            f = tail + (1,)
-            assert counting._is_irreducible(f, p) == (not _has_factor(list(f), p)), (p, f)
+        # the unit condition.  One batched call, one row per tail
+        tails = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
+        mask = counting._is_irreducible(tails, p)
+        assert mask.shape == (p ** m,)
+        for tail, irreducible in zip(tails.tolist(), mask.tolist()):
+            f = tail + [1]
+            assert irreducible == (not _has_factor(f, p)), (p, f)
+
+    def test_prime_tables_on_integers(self, monkeypatch):
+        # a prime field's exp/log/Zech arrays come from integer doubling, with
+        # no F_p matrix built
+        def matrices(*args):
+            raise AssertionError("a prime field built an F_p matrix")
+
+        monkeypatch.setattr(counting, "_mat_pow", matrices)
+        monkeypatch.setattr(counting.FiniteField, "_matrices", matrices)
+        for p in (2, 3, 13, 101, 229, 1021):
+            f = counting.FiniteField(p, 1, (0, 1))
+            log, zech = f.log_tables()
+            g = f.generator()
+            assert [pow(g, e, p) for e in log[1:].tolist()] == list(range(1, p)), p
+            assert zech[p - 1] == 0 and zech[log[p - 1]] == p - 1, p
 
     def test_scan_skips_tails_divisible_by_x(self, monkeypatch):
-        # x divides every tail with c_0 = 0, so for m > 1 the scan starts at c_0 = 1
+        # x divides every tail with c_0 = 0, so for m > 1 the scan starts at
+        # c_0 = 1; the tails arrive in blocks of at most _GEN_BLOCK rows
         seen = []
         irreducible = counting._is_irreducible
 
-        def spy(coeffs, p):
-            seen.append(coeffs)
-            return irreducible(coeffs, p)
+        def spy(tails, p):
+            seen.append(tails.copy())
+            return irreducible(tails, p)
 
         monkeypatch.setattr(counting, "_is_irreducible", spy)
         for p, m in [(2, 2), (2, 5), (2, 10), (3, 3), (3, 6), (5, 2), (5, 4), (7, 3), (31, 2)]:
             seen.clear()
             field_make.__wrapped__(p, m)
-            assert seen and all(coeffs[0] != 0 for coeffs in seen), (p, m)
+            assert seen and all(
+                tails.shape[1] == m and 0 < len(tails) <= counting._GEN_BLOCK and (tails[:, 0] != 0).all()
+                for tails in seen
+            ), (p, m)
         assert field_make.__wrapped__(5, 1).modulus == (0, 1)
 
     def test_modulus_equals_full_scan(self):
@@ -270,15 +292,15 @@ class TestFieldMake:
         fields = [(p, m) for p in range(2, 1025) if is_prime(p)
                   for m in range(1, 11) if p ** m <= 1 << 10]
         for p, m in fields:
-            tails = (tuple(i // p ** (m - 1 - j) % p for j in range(m)) + (1,) for i in range(p ** m))
-            expected = next(f for f in tails if counting._is_irreducible(f, p))
+            tails = np.array(list(product(range(p), repeat=m)), dtype=np.int64)
+            expected = tuple(tails[counting._is_irreducible(tails, p).argmax()].tolist()) + (1,)
             assert field_make(p, m).modulus == expected, (p, m)
 
     def test_large_extension_refused_before_modulus_search(self, monkeypatch):
         calls = []
 
-        def spy(coeffs, p):
-            calls.append(coeffs)
+        def spy(tails, p):
+            calls.append(tails)
             raise AssertionError("the modulus search ran")
 
         monkeypatch.setattr(counting, "_is_irreducible", spy)
@@ -855,17 +877,21 @@ class TestTableSplit:
 
     @pytest.mark.parametrize("p,m,n", sorted(set(EXTENSION_CASES + QUOTIENT_CASES + TIE_CASES)))
     def test_every_k_equals_naive(self, monkeypatch, p, m, n):
-        # every smooth t, t = 0 included, with the sweep's grid forced down to
-        # 1 and 4 entries so that its outer loop runs, on one and two workers
+        # every smooth t, t = 0 included, on one and two workers: with the
+        # default grid, which holds every middle coordinate here, and with
+        # the grid forced down to 1 and 4 entries so that its outer loop runs
         field = field_make(p, m)
         weight = classical_weight(n)
         naive = {t: count_projective_naive(FiberSpec(n, weight, t, field)).projective_count
                  for t in _smooth_params(field, weight)}
         assert 0 in naive
         ks = _admissible_ks(field.q, n)
-        for grid in (1, 4):
-            monkeypatch.setattr(counting, "_GRID_MIN", grid)
-            monkeypatch.setattr(counting, "_GRID_MAX", grid)
+        r = (field.q - 1) // gcd(n, field.q - 1)
+        assert all(counting._grid_split(r, n - 1 - k) == n - 1 - k for k in ks)
+        for grid in (None, 1, 4):
+            if grid:
+                monkeypatch.setattr(counting, "_GRID_MIN", grid)
+                monkeypatch.setattr(counting, "_GRID_MAX", grid)
             for workers in (1, 2):
                 for k in ks:
                     for t, count in naive.items():
